@@ -8,6 +8,7 @@ regression target), not from approximations.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -279,12 +280,22 @@ class DatasetSpec:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        expected = GENERATORS[self.generator][1]
+        fn, expected = GENERATORS[self.generator]
         if self.task != expected:
             raise ValueError(
                 f"generator {self.generator!r} produces {expected!r} labels, "
                 f"not {self.task!r}"
             )
+        if not isinstance(self.params, dict):
+            raise ValueError(f"generator params must be an object, got {self.params!r}")
+        signature = inspect.signature(fn).parameters
+        accepted = set(signature) - {"rng"}
+        required = {k for k in accepted if signature[k].default is inspect.Parameter.empty}
+        unknown = sorted(set(self.params) - accepted)
+        missing = sorted(required - set(self.params))
+        if unknown or missing:
+            raise ValueError(f"generator {self.generator!r} params: unknown {unknown}, "
+                             f"missing {missing}; it accepts {sorted(accepted)}")
 
 
 def generate_dataset(spec: DatasetSpec) -> dict[str, list[Graph]]:

@@ -8,7 +8,7 @@ added implicitly; ``add_self_loops`` is the explicit transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
 
     def permute_nodes(self, perm: np.ndarray) -> "Graph":
         """Relabel node i as perm[i]; edge storage order is unchanged."""
@@ -119,17 +113,10 @@ class GraphBatch:
     node_labels: np.ndarray | None = None
     graph_labels: np.ndarray | None = None
     edge_labels: np.ndarray | None = None
-    _has_graph_labels: bool = field(default=False, repr=False)
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
-
-    def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
 
 
 def batch(graphs: list[Graph]) -> GraphBatch:
@@ -169,7 +156,6 @@ def batch(graphs: list[Graph]) -> GraphBatch:
         node_labels=node_labels,
         graph_labels=graph_labels,
         edge_labels=edge_labels,
-        _has_graph_labels=has_gl,
     )
 
 

@@ -400,16 +400,28 @@ class Model:
         return state
 
     def load_state(self, state: dict) -> None:
+        """Load every parameter and statistic; the key sets must equal the model's."""
         params = self.params()
+        stats = {
+            f"layers.{k}.{name}": (layer.bn, name)
+            for k, layer in enumerate(self.layers)
+            for name in layer.stats()
+        }
+        for kind, have, want in (("param", state.get("params", {}), params),
+                                 ("stat", state.get("stats", {}), stats)):
+            missing = sorted(set(want) - set(have))
+            unknown = sorted(set(have) - set(want))
+            if missing or unknown:
+                raise ValueError(f"checkpoint {kind} keys do not match the model: "
+                                 f"missing {missing}, unknown {unknown}")
         for key, vals in state["params"].items():
             arr = np.array(vals, dtype=np.float64)
             if arr.shape != params[key].shape:
                 raise ValueError(f"checkpoint shape mismatch for {key}")
             params[key].data = arr
         for key, vals in state.get("stats", {}).items():
-            _, idx, name = key.split(".")
-            layer = self.layers[int(idx)]
-            setattr(layer.bn, name, np.array(vals, dtype=np.float64))
+            owner, name = stats[key]
+            setattr(owner, name, np.array(vals, dtype=np.float64))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

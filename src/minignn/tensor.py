@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation records an entry on a global tape: (output, inputs,
-backward rule). ``backward(loss)`` walks the tape in reverse, propagating
-gradients from a scalar loss; gradients accumulate additively across
-multiple uses of a tensor, and a second ``backward`` call adds another
-full pass of gradients on top of the first (callers zero grads between
-steps).
+Every op on a tensor that requires a gradient links its output to its
+inputs and backward rule, so the graph lives as long as the loss does.
+``backward(loss)`` walks the graph in reverse topological order from a
+scalar loss; gradients accumulate additively across multiple uses of a
+tensor, and a second ``backward`` call adds another full pass of gradients
+on top of the first (callers zero grads between steps).
 
 Broadcasting is restricted to one rule: a binary elementwise op may pair
 an (n, d) tensor with a (d,) tensor, in which case the (d,) operand is
@@ -29,12 +29,14 @@ class NumericsError(ArithmeticError):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "inputs", "backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.inputs: tuple[Tensor, ...] = ()
+        self.backward_fn = None
 
     @property
     def shape(self):
@@ -46,40 +48,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; the functional forms below do the work.
-    def __add__(self, other):
-        return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-class Tape:
-    """Ordered record of primitive ops; inputs always precede outputs."""
-
-    def __init__(self):
-        self.ops: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-
-    def clear(self) -> None:
-        self.ops.clear()
-
-
-_TAPE = Tape()
 _GRAD_ENABLED = True
-
-
-def reset_tape() -> None:
-    _TAPE.clear()
-
-
-def tape_length() -> int:
-    return len(_TAPE.ops)
 
 
 @contextmanager
@@ -96,37 +66,50 @@ def no_grad():
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _TAPE.ops.append((out, inputs, backward_fn))
+        out.inputs = inputs
+        out.backward_fn = backward_fn
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss.
+def _topological_order(root: Tensor) -> list[Tensor]:
+    """Iterative DFS post-order: every tensor after the inputs it needs a grad for."""
+    order: list[Tensor] = []
+    seen = {root}
+    stack = [(root, iter(root.inputs))]
+    while stack:
+        node, pending = stack[-1]
+        for inp in pending:
+            if inp.requires_grad and inp not in seen:
+                seen.add(inp)
+                stack.append((inp, iter(inp.inputs)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
-    loss must be scalar (shape ()). Gradients are added into any existing
-    .grad buffers, so repeated calls accumulate.
+
+def backward(loss: Tensor) -> None:
+    """Populate .grad on every leaf tensor reachable from loss.
+
+    A leaf is a requires_grad tensor that no op made. Op outputs keep no
+    .grad, so each intermediate gradient is freed once passed back. loss
+    must be scalar (shape ()). Gradients are added into any existing .grad
+    buffers, so repeated calls accumulate.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    flows: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    for out, inputs, backward_fn in reversed(_TAPE.ops):
-        g = flows.get(id(out))
-        if g is None:
-            continue
-        for inp, gi in zip(inputs, backward_fn(g)):
-            if gi is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            if key in flows:
-                flows[key] = flows[key] + gi
-            else:
-                flows[key] = gi
-                holders[key] = inp
-    for key, g in flows.items():
-        t = holders[key]
-        if t.requires_grad:
+    if not loss.requires_grad:
+        return
+    flows: dict[Tensor, np.ndarray] = {loss: np.ones(())}
+    for t in reversed(_topological_order(loss)):
+        g = flows.pop(t)  # complete: every consumer of t was visited before it
+        if t.backward_fn is None:
             t.grad = g if t.grad is None else t.grad + g
+            continue
+        for inp, gi in zip(t.inputs, t.backward_fn(g)):
+            if inp.requires_grad:
+                flows[inp] = flows[inp] + gi if inp in flows else gi
 
 
 # --- elementwise / broadcast helpers -------------------------------------
@@ -348,10 +331,13 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
 
     f maps the Tensor x to a scalar Tensor. The relative error per
     coordinate is |analytic - numeric| / max(1, |analytic|).
+
+    A step that straddles a kink (the zero of a relu or absolute value)
+    makes the two one-sided slopes disagree; such a coordinate is
+    re-estimated at h/10, at most twice. The decision looks only at f.
     """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    start = tape_length()
     x.zero_grad()
     out = f(x)
     if out.data.shape != ():
@@ -359,7 +345,7 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     if not np.isfinite(out.data):
         raise NumericsError("finite_diff_check: f returned a non-finite value")
     backward(out)
-    del _TAPE.ops[start:]
+    f0 = float(out.data)
     analytic = x.grad if x.grad is not None else np.zeros(x.shape)
 
     flat = x.data.reshape(-1)
@@ -367,12 +353,16 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     with no_grad():
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            f_plus = float(f(x).data)
-            flat[i] = orig - h
-            f_minus = float(f(x).data)
-            flat[i] = orig
-            numeric[i] = (f_plus - f_minus) / (2.0 * h)
+            for step in (h, h / 10.0, h / 100.0):
+                flat[i] = orig + step
+                f_plus = float(f(x).data)
+                flat[i] = orig - step
+                f_minus = float(f(x).data)
+                flat[i] = orig
+                numeric[i] = (f_plus - f_minus) / (2.0 * step)
+                # gap between the one-sided slopes (f_plus - f0)/step and (f0 - f_minus)/step
+                if abs(f_plus - 2.0 * f0 + f_minus) / step <= 1e-5 * max(1.0, abs(numeric[i])):
+                    break
     numeric = numeric.reshape(x.shape)
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -286,7 +286,6 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
         for bstart in range(0, len(idx), config.batch_size):
             chunk = [train_graphs[i] for i in idx[bstart:bstart + config.batch_size]]
             b = make_batch(chunk)
-            T.reset_tape()
             model.zero_grads()
             pred = model.forward(b, training=True)
             loss = compute_loss(pred, _batch_labels(b, task), task,
@@ -298,7 +297,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
             T.backward(loss)
             opt.step()
             batch_losses.append(float(loss.data))
-        T.reset_tape()
+            del pred, loss  # free this step's graph before the next forward
 
         train_loss = float(np.mean(batch_losses))
         val_loss, val_metric = evaluate(

@@ -47,12 +47,9 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(autouse=True)
-def fresh_tape(pytestconfig):
+def capture_manager(pytestconfig):
     global _CAPMAN
     _CAPMAN = pytestconfig.pluginmanager.getplugin("capturemanager")
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 # --- criterion 1: scale substitution --------------------------------------------
@@ -91,7 +88,6 @@ def test_criterion_2_identity_suite():
             row = np.concatenate([m[ei], rest]).reshape(1, -1)
             direct[dst[ei]] += (row @ fc.weight.data + fc.bias.data).reshape(-1)
         worst = max(worst, float(np.max(np.abs(enc.data - direct))))
-        T.reset_tape()
     secs = time.perf_counter() - t0
     report("criterion 2 (identity)", worst < 1e-12 and secs < 10.0,
            f"max |subtract-form - direct rest-sum| = {worst:.3e} "

@@ -3,16 +3,8 @@ import json
 
 import pytest
 
-from minignn import tensor as T
 from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError,
                          gradcheck_variant, load_run_config, main)
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 BASE_CONFIG = {
@@ -144,11 +136,44 @@ def test_eval_unknown_split_exits_1(tmp_path, capsys):
                  "--data", str(data), "--split", "holdout"]) == 1
 
 
+def test_eval_checkpoint_with_unknown_key_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+    ckpt["params"]["layers.9.W"] = [[0.0]]
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "layers.9.W" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_generator_param_exits_1(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["dataset"]["params"]["typo"] = 1
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "typo" in err and "Traceback" not in err
+
+
 # --- gradcheck ------------------------------------------------------------------------
 
 def test_gradcheck_exits_0_within_tolerance(capsys):
     assert main(["gradcheck", "--variant", "nlmi-gcn", "--width", "4",
                  "--nodes", "5", "--seed", "3"]) == 0
+    assert "max_rel_error" in capsys.readouterr().out
+
+
+def test_gradcheck_step_across_a_relu_kink_exits_0(capsys):
+    # At h=1e-5 one coordinate's central difference straddles a relu kink.
+    assert main(["gradcheck", "--variant", "nlmi-gcn", "--width", "5",
+                 "--nodes", "7", "--seed", "302"]) == 0
     assert "max_rel_error" in capsys.readouterr().out
 
 

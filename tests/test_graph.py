@@ -36,11 +36,6 @@ def test_feature_row_validation():
         Graph(num_nodes=3, edges=np.zeros((0, 2)), node_features=np.zeros((2, 1)))
 
 
-def test_in_degrees():
-    g = make_graph(3, [(0, 1), (2, 1), (1, 0)])
-    npt.assert_array_equal(g.in_degrees(), [1, 2, 0])
-
-
 def test_batch_single_roundtrip():
     g = make_graph(3, [(0, 1), (1, 2)], node_labels=np.array([0, 1, 0]))
     out = unbatch(batch([g]))

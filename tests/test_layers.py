@@ -12,13 +12,6 @@ from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
 from minignn.cli import _random_graph
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def simple_graph(num_nodes, edges, d_in=2, seed=0, **kwargs):
     return Graph(num_nodes=num_nodes, edges=np.array(edges).reshape(-1, 2),
                  node_features=Rng(seed).normals((num_nodes, d_in)), **kwargs)
@@ -246,7 +239,6 @@ def test_full_gated_layer_gradient_check():
     layer = model.layers[0]
     for p in (layer.A, layer.B, layer.C, layer.F, layer.fc.weight,
               layer.fc.bias, layer.bn.gamma, layer.bn.beta):
-        T.reset_tape()
         assert finite_diff_check(f, p) < 1e-4
 
 
@@ -346,4 +338,27 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     state = model.state()
     state["params"]["node_encoder.weight"] = [[0.0]]
     with pytest.raises(ValueError, match="shape mismatch"):
+        model.load_state(state)
+
+
+@pytest.mark.parametrize("base, section, key", [
+    ("gcn", "params", "head.lin1.weight"),
+    ("gatedgcn", "stats", "layers.0.running_var"),
+])
+def test_checkpoint_missing_key_rejected(base, section, key):
+    cfg = ModelConfig(task="node-class", base=base, nlmi=True, k_layers=1,
+                      width=4, d_in=3, d_edge=2)
+    state = Model(cfg, Rng(1)).state()
+    del state[section][key]
+    with pytest.raises(ValueError, match=rf"missing \['{key}'\]"):
+        Model(cfg, Rng(2)).load_state(state)
+
+
+def test_checkpoint_unknown_key_rejected():
+    cfg = ModelConfig(task="graph-reg", base="gcn", nlmi=False, k_layers=1,
+                      width=4, d_in=3)
+    model = Model(cfg, Rng(1))
+    state = model.state()
+    state["params"]["layers.3.W"] = [[0.0]]
+    with pytest.raises(ValueError, match=r"unknown \['layers.3.W'\]"):
         model.load_state(state)

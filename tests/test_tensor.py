@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,13 +9,6 @@ from minignn import tensor as T
 from minignn.rng import Rng
 from minignn.tensor import (NumericsError, ShapeError, Tensor, backward,
                             finite_diff_check)
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 def test_matmul_identity_bitwise():
@@ -98,6 +94,37 @@ def test_backward_twice_accumulates():
     npt.assert_array_equal(x.grad, [2.0, 2.0])
 
 
+def test_backward_through_a_chain_deeper_than_the_recursion_limit():
+    x = Tensor([1.0], requires_grad=True)
+    y = x
+    for _ in range(3000):
+        y = T.scale(y, 1.0)
+    backward(T.sum_all(y))
+    npt.assert_array_equal(x.grad, [1.0])
+
+
+def test_no_grad_links_nothing():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with T.no_grad():
+        y = T.mul(x, x)
+    assert not y.requires_grad
+    assert y.inputs == () and y.backward_fn is None
+
+
+def test_graph_lives_as_long_as_its_loss():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    hidden = T.relu(T.mul(x, x))
+    probe = weakref.ref(hidden.data)  # Tensor has __slots__; its buffer dies with it
+    loss = T.sum_all(hidden)
+    del hidden
+    backward(loss)
+    assert probe() is not None and loss.grad is None
+    del loss
+    gc.collect()
+    assert probe() is None
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 def test_gradient_accumulation_linearity():
     rng = Rng(3)
     vals = rng.normals((4,))
@@ -106,12 +133,10 @@ def test_gradient_accumulation_linearity():
     backward(T.sum_all(T.mul(x, x)))
     gf = x.grad.copy()
 
-    T.reset_tape()
     x = Tensor(vals.copy(), requires_grad=True)
     backward(T.sum_all(T.relu(x)))
     gg = x.grad.copy()
 
-    T.reset_tape()
     x = Tensor(vals.copy(), requires_grad=True)
     backward(T.add(T.sum_all(T.mul(x, x)), T.sum_all(T.relu(x))))
     npt.assert_array_equal(x.grad, gf + gg)
@@ -131,7 +156,6 @@ def test_mlp_gradient_vs_finite_differences():
     x = Tensor(x0, requires_grad=True)
     assert finite_diff_check(net, x) < 1e-5
     for p in (w1, b1, w2):
-        T.reset_tape()
         assert finite_diff_check(lambda _t: net(Tensor(x0)), p) < 1e-5
 
 
@@ -160,7 +184,6 @@ def test_binary_primitive_gradients():
     b0 = rng.normals((3, 4))
     for op in (T.add, T.sub, T.mul):
         for side in (0, 1):
-            T.reset_tape()
             x = Tensor((a0 if side == 0 else b0).copy(), requires_grad=True)
 
             def f(t, _op=op, _side=side):
@@ -180,6 +203,22 @@ def test_finite_diff_constant_function():
     x = Tensor([1.0, -2.0], requires_grad=True)
     err = finite_diff_check(lambda t: Tensor(np.float64(5.0)), x)
     assert err < 1e-8
+
+
+def test_finite_diff_refines_a_step_across_a_kink():
+    # 3e-6 lies within the default step h=1e-5 of relu's kink at 0.
+    x = Tensor([3e-6, 0.5, -0.7], requires_grad=True)
+    assert finite_diff_check(lambda t: T.sum_all(T.relu(t)), x) < 1e-6
+
+
+def test_finite_diff_flags_a_wrong_gradient_at_a_kink():
+    def wrong_relu(a):
+        mask = a.data > 0.0
+        out = Tensor(np.maximum(a.data, 0.0))
+        return T._record(out, (a,), lambda g: (1.01 * g * mask,))
+
+    x = Tensor([3e-6, 0.5, -0.7], requires_grad=True)
+    assert finite_diff_check(lambda t: T.sum_all(wrong_relu(t)), x) > 1e-3
 
 
 def test_finite_diff_rejects_nonscalar():
@@ -204,7 +243,6 @@ def test_determinism_same_seed_same_values():
         return out.data.copy(), a.grad.copy()
 
     v1, g1 = run()
-    T.reset_tape()
     v2, g2 = run()
     assert np.array_equal(v1, v2)
     assert np.array_equal(g1, g2)

@@ -18,13 +18,6 @@ from minignn.training import (Adam, PlateauScheduler, TrainConfig, accuracy,
                               write_summary_json)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 # --- optimizer ---------------------------------------------------------------
 
 def test_adam_zero_gradient_is_noop():
@@ -51,7 +44,6 @@ def test_adam_minimizes_quadratic_bowl():
     p = Tensor(np.array([4.0, -3.0]), requires_grad=True)
     opt = Adam({"p": p}, lr=0.05)
     for _ in range(200):
-        T.reset_tape()
         p.zero_grad()
         backward(T.sum_all(T.mul(p, p)))
         opt.step()
@@ -262,7 +254,6 @@ def test_train_loop_zero_lr_freezes_params():
 
 def test_train_loop_deterministic_history():
     _, _, h1, s1 = small_run(max_epochs=3)
-    T.reset_tape()
     _, _, h2, s2 = small_run(max_epochs=3)
     assert [(r.epoch, r.split, r.loss, r.value) for r in h1] == \
            [(r.epoch, r.split, r.loss, r.value) for r in h2]
@@ -295,7 +286,6 @@ def test_reloaded_dataset_gives_identical_history(tmp_path):
     _, splits2 = load_dataset(path)
 
     def run(sp):
-        T.reset_tape()
         model = Model(SBM_MODEL, Rng(2).spawn("init"))
         cfg = TrainConfig(lr=1e-2, max_epochs=3, batch_size=4)
         history, _ = train_loop(sp, model, cfg, Rng(2).spawn("train"))

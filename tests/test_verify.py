@@ -10,13 +10,6 @@ from minignn.verify import (edge_order_harness, equivariance_harness,
                             oracle_harness, reduction_harness)
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def build(base, nlmi, terms=(True, True, True), seed=0, k_layers=2, width=4):
     cfg = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=k_layers,
                       width=width, d_in=3, d_edge=2, terms=terms)
