@@ -105,6 +105,19 @@ def _build(raw: dict):
     return spec, model_config, train_config, seeds, out
 
 
+def _check_feature_widths(config: ModelConfig, splits: dict) -> None:
+    """The model's input widths must equal the widths of the data's features."""
+    for graphs in splits.values():
+        for g in graphs:
+            if g.node_features.shape[1] != config.d_in:
+                raise ConfigError(f"model d_in is {config.d_in}, but the data's node "
+                                  f"features have width {g.node_features.shape[1]}")
+            if (config.base == "gatedgcn" and g.edge_features is not None
+                    and g.edge_features.shape[1] != config.d_edge):
+                raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
+                                  f"features have width {g.edge_features.shape[1]}")
+
+
 # --- subcommands -------------------------------------------------------------
 
 def cmd_gen(args) -> int:
@@ -122,6 +135,7 @@ def cmd_train(args) -> int:
     spec, model_config, train_config, seeds, out = _build(raw)
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
+    _check_feature_widths(model_config, splits)
     summary = run_seeds(splits, model_config, train_config, seeds)
     for seed in seeds:
         write_metrics_csv(out / f"metrics_seed{seed}.csv", summary["histories"][seed])
@@ -138,6 +152,7 @@ def cmd_eval(args) -> int:
     spec, splits = load_dataset(args.data)
     if args.split not in splits:
         raise ConfigError(f"split {args.split!r} not in dataset (has {sorted(splits)})")
+    _check_feature_widths(model.config, splits)
     loss, metric = evaluate(model, splits[args.split])
     print(f"split={args.split} loss={loss:.6f} metric={metric:.6f}")
     return 0
@@ -208,6 +223,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablation rows are defined for the gatedgcn base")
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
+    _check_feature_widths(model_config, splits)
     rows = []
     for name, terms in ABLATION_ROWS:
         config = ModelConfig(**{**model_config.to_dict(), "nlmi": True,

@@ -221,8 +221,7 @@ def gen_graph_regression(
             if (u, v) not in tree and rng.uniform() < extra_edge_p:
                 pairs.append((u, v))
     edges = _both_directions(pairs)
-    deg = np.zeros(n)
-    np.add.at(deg, edges[:, 1], 1.0)
+    deg = np.bincount(edges[:, 1], minlength=n).astype(float)
     x = (deg / max(1, n - 1)).reshape(-1, 1)
     g = Graph(num_nodes=n, edges=edges, node_features=x)
     target = regression_target(g)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .generators import TASKS
 from .graph import Graph, GraphBatch
 from .rng import Rng
 from . import tensor as T
@@ -31,32 +32,37 @@ GATE_EPS = 1e-6
 
 
 class GraphView:
-    """Precomputed index structure for one forward pass over a graph/batch."""
+    """Precomputed index structure for one forward pass over a graph/batch.
+
+    ``src``, ``dst``, ``edge_perm``, ``inv_perm`` and ``graph_id`` are
+    ``tensor.Rows``: every gather, segment sum and backward scatter of the
+    pass goes through them, so all layers share one flattened index each.
+    """
 
     def __init__(self, g: Graph | GraphBatch):
-        self.num_nodes = g.num_nodes
-        self.num_edges = g.num_edges
+        n, e = g.num_nodes, g.num_edges
+        self.num_nodes = n
+        self.num_edges = e
         src = g.edges[:, 0]
         dst = g.edges[:, 1]
         order = np.lexsort((src, dst))  # canonical: by dst, then src
-        self.src = src[order]
-        self.dst = dst[order]
-        self.edge_perm = order  # canonical row i came from storage row order[i]
-        self.inv_perm = np.empty_like(order)
-        self.inv_perm[order] = np.arange(g.num_edges)
-        deg = np.zeros(g.num_nodes)
-        np.add.at(deg, dst, 1.0)
-        self.in_deg = deg
+        self.src = T.Rows(src[order], n)
+        self.dst = T.Rows(dst[order], n)
+        self.edge_perm = T.Rows(order, e)  # canonical row i came from storage row order[i]
+        inv_perm = np.empty_like(order)
+        inv_perm[order] = np.arange(e)
+        self.inv_perm = T.Rows(inv_perm, e)
+        self.in_deg = np.bincount(dst, minlength=n).astype(float)
         if isinstance(g, GraphBatch):
-            self.graph_id = g.graph_id
             self.num_graphs = g.num_graphs
+            self.graph_id = T.Rows(g.graph_id, g.num_graphs)
         else:
-            self.graph_id = np.zeros(g.num_nodes, dtype=np.int64)
             self.num_graphs = 1
+            self.graph_id = T.Rows(np.zeros(n, dtype=np.int64), 1)
 
     def inv_deg_tile(self, width: int) -> Tensor:
         """Constant (E, width) tensor of 1/|N(dst)| per canonical edge."""
-        inv = 1.0 / np.maximum(self.in_deg[self.dst], 1.0)
+        inv = 1.0 / np.maximum(self.in_deg[self.dst.idx], 1.0)
         return Tensor(np.repeat(inv.reshape(-1, 1), width, axis=1))
 
 
@@ -116,7 +122,7 @@ class BatchNorm:
 
 
 def interaction_encoding(
-    msg: Tensor, total: Tensor, fc: Linear, dst: np.ndarray, num_nodes: int
+    msg: Tensor, total: Tensor, fc: Linear, dst: T.Rows | np.ndarray, num_nodes: int
 ) -> Tensor:
     """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming edges."""
     rest = T.sub(T.gather_rows(total, dst), msg)
@@ -199,7 +205,7 @@ class GatedGcnLayer:
         sig = T.sigmoid(e_pre)
         denom = T.add(
             T.gather_rows(T.segment_sum(sig, view.dst, view.num_nodes), view.dst),
-            Tensor(np.full((view.num_edges, self.d), self.eps)),
+            Tensor(np.full(self.d, self.eps)),
         )
         alpha = T.mul(sig, T.powc(denom, -1.0))
         msg = T.mul(alpha, T.matmul(hv, self.F))
@@ -239,8 +245,7 @@ class GatedGcnLayer:
 def mean_pool(h: Tensor, view: GraphView) -> Tensor:
     """Per-graph mean of node embeddings."""
     sums = T.segment_sum(h, view.graph_id, view.num_graphs)
-    counts = np.zeros(view.num_graphs)
-    np.add.at(counts, view.graph_id, 1.0)
+    counts = np.bincount(view.graph_id.idx, minlength=view.num_graphs).astype(float)
     inv = np.repeat((1.0 / counts).reshape(-1, 1), h.shape[1], axis=1)
     return T.mul(sums, Tensor(inv))
 
@@ -279,8 +284,8 @@ class EdgeHead:
         self.lin2 = Linear(d, 1, rng.spawn("lin2"))
 
     def __call__(self, h: Tensor, view: GraphView) -> Tensor:
-        src_store = view.src[view.inv_perm]
-        dst_store = view.dst[view.inv_perm]
+        src_store = view.src.idx[view.inv_perm.idx]
+        dst_store = view.dst.idx[view.inv_perm.idx]
         pair = T.concat_cols(T.gather_rows(h, src_store), T.gather_rows(h, dst_store))
         return self.lin2(T.relu(self.lin1(pair)))
 
@@ -301,8 +306,14 @@ class ModelConfig:
     terms: tuple[bool, bool, bool] = (True, True, True)
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.base not in BASES:
             raise ValueError(f"unknown base {self.base!r}, expected one of {BASES}")
+        for name, least in (("k_layers", 0), ("width", 1), ("d_in", 1), ("d_edge", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"model {name} must be an integer >= {least}, got {value!r}")
         self.terms = tuple(bool(t) for t in self.terms)
         if len(self.terms) != 3:
             raise ValueError("terms must be a (self, msg, enc) triple")
@@ -314,7 +325,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{**d, "terms": tuple(d.get("terms", (True, True, True)))})
+        try:
+            return cls(**{**d, "terms": tuple(d.get("terms", (True, True, True)))})
+        except TypeError as err:  # unknown or missing keys
+            raise ValueError(f"bad model config: {err}") from err
 
 
 class Model:
@@ -343,10 +357,8 @@ class Model:
             self.head = GraphHead(d, config.n_classes, head_rng)
         elif config.task == "edge-pred":
             self.head = EdgeHead(d, head_rng)
-        elif config.task == "graph-reg":
+        else:  # graph-reg
             self.head = GraphHead(d, 1, head_rng)
-        else:
-            raise ValueError(f"unknown task {config.task!r}")
 
     # --- forward ---------------------------------------------------------
 
@@ -431,6 +443,8 @@ class Model:
     def load(cls, path) -> "Model":
         with open(path) as fh:
             state = json.load(fh)
+        if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
+            raise ValueError(f"checkpoint {path} has no 'config' object")
         config = ModelConfig.from_dict(state["config"])
         model = cls(config, Rng(0))
         model.load_state(state)

@@ -15,6 +15,7 @@ gradient. All other shape combinations must match exactly.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -287,34 +288,70 @@ def sum_cols(a: Tensor) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(a.data[idx])
-    shape = a.shape
+class Rows:
+    """An int64 row index into n rows, shared by the ops that scatter through it.
+
+    A scatter adds row i of its input into row idx[i] of an (n, ...) output
+    with one np.bincount over the flattened index idx[:, None] * d + arange(d),
+    d being the row width. bincount visits its input in storage order, so every
+    output element gets the same sum, bit for bit, as the loop
+    ``for i: out[idx[i]] += x[i]``. The flattened index is built once per
+    width and kept, so the layers of a batch and their backward passes share it.
+    """
+
+    __slots__ = ("idx", "n", "_flat")
+
+    def __init__(self, idx, n: int):
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self.n = int(n)
+        self._flat: dict[int, np.ndarray] = {}
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Sum the rows of x into n rows: out[idx[i]] += x[i], in row order."""
+        d = math.prod(x.shape[1:])
+        flat = self._flat.get(d)
+        if flat is None:
+            flat = self._flat[d] = (self.idx[:, None] * d + np.arange(d)).reshape(-1)
+        out = np.bincount(flat, weights=x.reshape(-1), minlength=self.n * d)
+        if out.size != self.n * d:
+            raise IndexError(f"row index out of range for {self.n} rows")
+        return out.reshape((self.n,) + x.shape[1:])
+
+
+def _rows(idx, n: int, opname: str) -> Rows:
+    """idx as a Rows into n rows; a raw integer array is wrapped on the spot."""
+    if not isinstance(idx, Rows):
+        return Rows(idx, n)
+    if idx.n != n:
+        raise ShapeError(f"{opname}: index into {idx.n} rows used for {n} rows")
+    return idx
+
+
+def gather_rows(a: Tensor, idx: Rows | np.ndarray) -> Tensor:
+    rows = _rows(idx, a.shape[0], "gather_rows")
+    out = Tensor(a.data[rows.idx])
 
     def backward_fn(g):
-        da = np.zeros(shape)
-        np.add.at(da, idx, g)
-        return (da,)
+        return (rows.scatter(g),)
 
     return _record(out, (a,), backward_fn)
 
 
-def segment_sum(a: Tensor, idx: np.ndarray, num_segments: int) -> Tensor:
+def segment_sum(a: Tensor, idx: Rows | np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of a into num_segments buckets given by idx.
 
-    Rows are accumulated in storage order of a; callers that need a
-    canonical summation order sort their rows first.
+    Rows are accumulated in storage order of a (``Rows.scatter``); callers
+    that need a canonical summation order sort their rows first.
+    ``layers.GraphView`` owns the Rows of a graph, so every layer of a batch
+    shares their flattened indices.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != (a.shape[0],):
-        raise ShapeError(f"segment_sum: data {a.shape} vs index {idx.shape}")
-    acc = np.zeros((num_segments, a.shape[1]))
-    np.add.at(acc, idx, a.data)
-    out = Tensor(acc)
+    rows = _rows(idx, num_segments, "segment_sum")
+    if a.data.ndim != 2 or rows.idx.shape != (a.shape[0],):
+        raise ShapeError(f"segment_sum: data {a.shape} vs index {rows.idx.shape}")
+    out = Tensor(rows.scatter(a.data))
 
     def backward_fn(g):
-        return (g[idx],)
+        return (g[rows.idx],)
 
     return _record(out, (a,), backward_fn)
 

@@ -153,6 +153,66 @@ def test_eval_checkpoint_with_unknown_key_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+    del ckpt["config"]
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "config" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),
+    ("width", "16"),
+])
+def test_invalid_model_config_exits_1(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"][key] = value
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_d_in_not_matching_the_data_exits_1(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"]["d_in"] = 3  # sbm node features have width 2
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "d_in" in err and "Traceback" not in err
+
+
+def test_d_edge_not_matching_the_data_exits_1(tmp_path, capsys):
+    cfg = {
+        "version": 1,
+        "dataset": {"task": "edge-pred", "generator": "tsp",
+                    "params": {"n_cities": 5, "k_nn": 4},
+                    "n_train": 2, "n_val": 1, "n_test": 1, "seed": 7},
+        "model": {"task": "edge-pred", "base": "gatedgcn", "k_layers": 1, "width": 4,
+                  "d_in": 2, "d_edge": 2},  # tsp edge features have width 1
+        "train": {"max_epochs": 1},
+        "seeds": [1],
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "d_edge" in err and "Traceback" not in err
+    cfg["model"]["d_edge"] = 1
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 0
+
+
 def test_unknown_generator_param_exits_1(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["dataset"]["params"]["typo"] = 1

@@ -165,7 +165,7 @@ def test_gate_sums_in_unit_interval():
     layer = GatedGcnLayer(3, rng.spawn("l"), encode_interactions=True)
     alpha, view = _gates(layer, g)
     sums = np.zeros((g.num_nodes, 3))
-    np.add.at(sums, view.dst, alpha)
+    np.add.at(sums, view.dst.idx, alpha)
     present = view.in_deg > 0
     assert np.all(sums[present] > 0.0)
     assert np.all(sums[present] <= 1.0)

@@ -251,3 +251,80 @@ def test_determinism_same_seed_same_values():
 def test_assert_finite():
     with pytest.raises(NumericsError, match="somewhere"):
         T.assert_finite(Tensor([np.inf]), "somewhere")
+
+
+# --- scatters through Rows: bit-identical to an np.add.at reference -------------
+
+def _add_at(idx, x, n):
+    out = np.zeros((n,) + x.shape[1:])
+    np.add.at(out, idx, x)
+    return out
+
+
+def _spread(rng, shape):
+    """Values over 16 decades, so a different summation order changes the bits."""
+    return rng.normals(shape) * 10.0 ** rng.uniforms(shape, -8.0, 8.0)
+
+
+SCATTER_CASES = {
+    "repeated": (np.array([1, 0, 1, 1, 3, 0, 1]), 4),
+    "many-repeats": (np.array([(7 * i) % 5 for i in range(300)]), 5),
+    "empty-segments": (np.array([3, 3, 0]), 6),
+    "no-rows": (np.zeros(0, dtype=np.int64), 3),
+    "permutation": (np.array([2, 4, 0, 1, 3]), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_segment_sum_forward_bit_identical_to_add_at(case):
+    idx, n = SCATTER_CASES[case]
+    x = _spread(Rng(61), (len(idx), 16))
+    out = T.segment_sum(Tensor(x), idx, n)
+    assert out.shape == (n, 16)
+    assert np.array_equal(out.data, _add_at(idx, x, n))
+
+
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_gather_rows_backward_bit_identical_to_add_at(case):
+    idx, n = SCATTER_CASES[case]
+    rng = Rng(62)
+    a = Tensor(rng.normals((n, 16)), requires_grad=True)
+    g = _spread(rng, (len(idx), 16))
+    backward(T.sum_all(T.mul(T.gather_rows(a, idx), Tensor(g))))
+    assert np.array_equal(a.grad, _add_at(idx, g, n))
+
+
+def test_gather_rows_backward_of_a_non_contiguous_gradient():
+    idx, n = SCATTER_CASES["many-repeats"]
+    rng = Rng(63)
+    a = Tensor(rng.normals((n, 3)), requires_grad=True)
+    b = Tensor(rng.normals((len(idx), 5)))
+    g = _spread(rng, (len(idx), 8))
+    # concat_cols passes a column slice of g back: a non-contiguous view
+    backward(T.sum_all(T.mul(T.concat_cols(T.gather_rows(a, idx), b), Tensor(g))))
+    assert np.array_equal(a.grad, _add_at(idx, g[:, :3], n))
+
+
+def test_one_rows_serves_two_widths():
+    idx, n = SCATTER_CASES["many-repeats"]
+    rows = T.Rows(idx, n)
+    rng = Rng(64)
+    for d in (16, 32, 16):
+        x = _spread(rng, (len(idx), d))
+        assert np.array_equal(T.segment_sum(Tensor(x), rows, n).data, _add_at(idx, x, n))
+        a = Tensor(rng.normals((n, d)), requires_grad=True)
+        backward(T.sum_all(T.mul(T.gather_rows(a, rows), Tensor(x))))
+        assert np.array_equal(a.grad, _add_at(idx, x, n))
+
+
+def test_rows_into_the_wrong_row_count_rejected():
+    rows = T.Rows(np.array([0, 1]), 2)
+    with pytest.raises(ShapeError, match="2 rows used for 3"):
+        T.segment_sum(Tensor(np.ones((2, 4))), rows, 3)
+    with pytest.raises(ShapeError, match="2 rows used for 3"):
+        T.gather_rows(Tensor(np.ones((3, 4))), rows)
+
+
+def test_segment_sum_index_out_of_range_rejected():
+    with pytest.raises(IndexError):
+        T.segment_sum(Tensor(np.ones((2, 4))), np.array([0, 2]), 2)
