@@ -37,9 +37,12 @@ class GraphView:
     ``src``, ``dst``, ``edge_perm``, ``inv_perm`` and ``graph_id`` are
     ``tensor.Rows``: every gather, segment sum and backward scatter of the
     pass goes through them, so all layers share one flattened index each.
+    A view can be passed to ``Model.forward`` in place of its graph, so
+    repeated forwards of one graph share its indices too.
     """
 
     def __init__(self, g: Graph | GraphBatch):
+        self.graph = g
         n, e = g.num_nodes, g.num_edges
         self.num_nodes = n
         self.num_edges = e
@@ -362,9 +365,10 @@ class Model:
 
     # --- forward ---------------------------------------------------------
 
-    def embeddings(self, g: Graph | GraphBatch, training: bool = False):
+    def embeddings(self, g: Graph | GraphBatch | GraphView, training: bool = False):
         """Final node embeddings (and edge embeddings for the gated base)."""
-        view = GraphView(g)
+        view = g if isinstance(g, GraphView) else GraphView(g)
+        g = view.graph
         h = self.node_encoder(Tensor(g.node_features))
         e = None
         if self.edge_encoder is not None:
@@ -380,7 +384,7 @@ class Model:
             T.assert_finite(h, f"layer {k} node output")
         return h, e, view
 
-    def forward(self, g: Graph | GraphBatch, training: bool = False) -> Tensor:
+    def forward(self, g: Graph | GraphBatch | GraphView, training: bool = False) -> Tensor:
         h, _, view = self.embeddings(g, training)
         return self.head(h, view)
 

@@ -267,6 +267,26 @@ def test_zero_depth_model_is_readout_of_encoded_inputs():
     npt.assert_array_equal(pred.data, expected.data)
 
 
+@pytest.mark.parametrize("base,task", [("gcn", "node-class"), ("gatedgcn", "edge-pred"),
+                                       ("gatedgcn", "graph-class")])
+def test_reused_view_gives_the_graphs_forward_and_gradients(base, task):
+    rng = Rng(23)
+    g = batch([_random_graph(n, rng.spawn(f"g/{n}"), True) for n in (5, 6)])
+    cfg = ModelConfig(task=task, base=base, nlmi=True, k_layers=2, width=4, d_in=3,
+                      d_edge=2)
+    model = Model(cfg, rng.spawn("m"))
+    view = GraphView(g)
+    runs = []
+    for arg in (g, view, view):  # the second forward of the view reuses its cached indices
+        model.zero_grads()
+        pred = model.forward(arg, training=True)
+        backward(T.sum_all(T.mul(pred, pred)))
+        runs.append((pred.data, [p.grad for p in model.params().values()]))
+    for pred, grads in runs[1:]:
+        assert np.array_equal(pred, runs[0][0])
+        assert all(np.array_equal(a, b) for a, b in zip(grads, runs[0][1]))
+
+
 def test_nan_input_fails_with_layer_index():
     rng = Rng(20)
     g = _random_graph(4, rng.spawn("g"), False)
