@@ -96,7 +96,8 @@ def backward(loss: Tensor) -> None:
     A leaf is a requires_grad tensor that no op made. Op outputs keep no
     .grad, so each intermediate gradient is freed once passed back. loss
     must be scalar (shape ()). Gradients are added into any existing .grad
-    buffers, so repeated calls accumulate.
+    buffers, so repeated calls accumulate. A backward rule may return None
+    for an input that needs no gradient (a constant operand).
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -146,7 +147,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward_fn(g):
-        return g, _reduce_broadcast(g, bc)
+        return g, _reduce_broadcast(g, bc) if b.requires_grad else None
 
     return _record(out, (a, b), backward_fn)
 
@@ -156,7 +157,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def backward_fn(g):
-        return g, -_reduce_broadcast(g, bc)
+        return g, -_reduce_broadcast(g, bc) if b.requires_grad else None
 
     return _record(out, (a, b), backward_fn)
 
@@ -166,7 +167,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def backward_fn(g):
-        return g * b.data, _reduce_broadcast(g * a.data, bc)
+        return (g * b.data if a.requires_grad else None,
+                _reduce_broadcast(g * a.data, bc) if b.requires_grad else None)
 
     return _record(out, (a, b), backward_fn)
 

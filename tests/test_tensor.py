@@ -63,6 +63,16 @@ def test_row_broadcast_add_and_grad():
     npt.assert_array_equal(b.grad, [3.0, 3.0])
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_constant_operand_gets_no_gradient_computed(op):
+    x = Tensor(np.ones((3, 2)), requires_grad=True)
+    out = op(x, Tensor(np.array([1.0, 2.0])))
+    grads = out.backward_fn(np.ones((3, 2)))
+    assert grads[0] is not None and grads[1] is None
+    out = op(Tensor(np.array([[1.0, 2.0]])), Tensor(np.ones((1, 2)), requires_grad=True))
+    assert out.backward_fn(np.ones((1, 2)))[1] is not None
+
+
 def test_incompatible_broadcast_rejected():
     with pytest.raises(ShapeError):
         T.add(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
