@@ -287,9 +287,8 @@ class EdgeHead:
         self.lin2 = Linear(d, 1, rng.spawn("lin2"))
 
     def __call__(self, h: Tensor, view: GraphView) -> Tensor:
-        src_store = view.src.idx[view.inv_perm.idx]
-        dst_store = view.dst.idx[view.inv_perm.idx]
-        pair = T.concat_cols(T.gather_rows(h, src_store), T.gather_rows(h, dst_store))
+        edges = view.graph.edges  # stored order
+        pair = T.concat_cols(T.gather_rows(h, edges[:, 0]), T.gather_rows(h, edges[:, 1]))
         return self.lin2(T.relu(self.lin1(pair)))
 
     def params(self, prefix):
