@@ -18,15 +18,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
-from .graph import Graph
-from .layers import GraphView, Model, ModelConfig
-from .rng import Rng
-from .tensor import NumericsError, finite_diff_check
+from .layers import Model, ModelConfig
+# perfbench/tracing.py wraps finite_diff_check under this module's name too
+from .tensor import NumericsError, finite_diff_check  # noqa: F401
 from .training import (TrainConfig, evaluate, run_seeds, write_metrics_csv,
                        write_summary_json)
+from .verify import VARIANTS, gradcheck_variant
 
 CONFIG_VERSION = 1
 
@@ -156,55 +154,6 @@ def cmd_eval(args) -> int:
     loss, metric = evaluate(model, splits[args.split])
     print(f"split={args.split} loss={loss:.6f} metric={metric:.6f}")
     return 0
-
-
-def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.uniform() < 0.5:
-                pairs.append((u, v))
-    if not pairs:
-        pairs = [(0, 1)]
-    directed = sorted(set(pairs) | {(v, u) for u, v in pairs})
-    edges = np.array(directed, dtype=np.int64)
-    return Graph(
-        num_nodes=n,
-        edges=edges,
-        node_features=rng.normals((n, 3)),
-        edge_features=rng.normals((len(directed), 2)) if with_edge_features else None,
-    )
-
-
-VARIANTS = {
-    "gcn": ("gcn", False),
-    "nlmi-gcn": ("gcn", True),
-    "gatedgcn": ("gatedgcn", False),
-    "nlmi-gatedgcn": ("gatedgcn", True),
-}
-
-
-def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
-                      h: float = 1e-5) -> float:
-    """Max relative finite-difference error over all parameters of one variant."""
-    base, nlmi = VARIANTS[variant]
-    rng = Rng(seed)
-    g = _random_graph(n_nodes, rng.spawn("graph"), with_edge_features=base == "gatedgcn")
-    config = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=1,
-                         width=d, d_in=3, d_edge=2, n_classes=2)
-    model = Model(config, rng.spawn("model"))
-    view = GraphView(g)  # every forward of the check shares g's indices
-
-    from . import tensor as T
-
-    def f(_x, _model=model, _view=view):
-        pred = _model.forward(_view, training=False)
-        return T.sum_all(T.mul(pred, pred))
-
-    worst = 0.0
-    for p in model.params().values():
-        worst = max(worst, finite_diff_check(f, p, h))
-    return worst
 
 
 def cmd_gradcheck(args) -> int:

@@ -6,8 +6,10 @@ additionally encode, for every incoming message, the interaction between
 that message and the aggregated message of the remaining neighbours: each
 per-edge message m is concatenated with (total - m) and passed through a
 per-layer affine encoder; the encoded vectors are summed per node and
-added to the aggregated message. The subtraction form is algebraically
-identical to recomputing the rest-sum directly, but linear in edges.
+added to the aggregated message. The encoder is affine, so that sum is
+T·W1 + (k-1)·T·W2 + k·b for a node with message total T and in-degree k,
+computed on node rows. Every dense weight multiplies node rows too, before
+the products are gathered onto edges: h[idx] @ W == (h @ W)[idx].
 
 All per-node sums run over edges in a canonical order (sorted by
 destination, then source), so results are independent of edge storage
@@ -17,7 +19,8 @@ order and node-permutation equivariance is testable at tight tolerances.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -55,18 +58,13 @@ class GraphView:
         inv_perm = np.empty_like(order)
         inv_perm[order] = np.arange(e)
         self.inv_perm = T.Rows(inv_perm, e)
-        self.in_deg = np.bincount(dst, minlength=n).astype(float)
+        self.in_deg = np.bincount(dst, minlength=n).astype(float)  # per node
         if isinstance(g, GraphBatch):
             self.num_graphs = g.num_graphs
             self.graph_id = T.Rows(g.graph_id, g.num_graphs)
         else:
             self.num_graphs = 1
             self.graph_id = T.Rows(np.zeros(n, dtype=np.int64), 1)
-
-    def inv_deg_tile(self, width: int) -> Tensor:
-        """Constant (E, width) tensor of 1/|N(dst)| per canonical edge."""
-        inv = 1.0 / np.maximum(self.in_deg[self.dst.idx], 1.0)
-        return Tensor(np.repeat(inv.reshape(-1, 1), width, axis=1))
 
 
 class Linear:
@@ -127,9 +125,16 @@ class BatchNorm:
 def interaction_encoding(
     msg: Tensor, total: Tensor, fc: Linear, dst: T.Rows | np.ndarray, num_nodes: int
 ) -> Tensor:
-    """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming edges."""
-    rest = T.sub(T.gather_rows(total, dst), msg)
-    return T.segment_sum(fc(T.concat_cols(msg, rest)), dst, num_nodes)
+    """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming edges.
+
+    In closed form on node rows; total must be the per-node sum of msg, which
+    is not read. For a node with in-degree k, fc.weight = [W1; W2] and mean
+    message M = T/k: T·W1 + (k-1)·T·W2 + k·b = k·fc(concat(M, T - M)).
+    """
+    idx = dst.idx if isinstance(dst, T.Rows) else dst
+    k = np.bincount(idx, minlength=num_nodes).astype(float)[:, None]
+    mean = T.mul(total, Tensor(1.0 / np.maximum(k, 1.0)))
+    return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), Tensor(k))
 
 
 class GcnLayer:
@@ -140,11 +145,10 @@ class GcnLayer:
         self.W = Tensor(rng.uniforms((d, d), -bound, bound), requires_grad=True)
         self.fc = Linear(2 * d, d, rng.spawn("fc"))
         self.encode_interactions = encode_interactions
-        self.d = d
 
     def forward(self, h: Tensor, view: GraphView, training: bool) -> Tensor:
-        hv = T.gather_rows(h, view.src)
-        msg = T.mul(T.matmul(hv, self.W), view.inv_deg_tile(self.d))
+        inv_deg = 1.0 / view.in_deg[view.dst.idx]  # per canonical edge (in-degree >= 1)
+        msg = T.mul(T.gather_rows(T.matmul(h, self.W), view.src), Tensor(inv_deg[:, None]))
         total = T.segment_sum(msg, view.dst, view.num_nodes)
         pre = total
         if self.encode_interactions:
@@ -199,11 +203,11 @@ class GatedGcnLayer:
         self.d = d
 
     def forward(self, h: Tensor, e: Tensor, view: GraphView, training: bool):
-        hu = T.gather_rows(h, view.dst)
-        hv = T.gather_rows(h, view.src)
+        hA = T.matmul(h, self.A)
         e_can = T.gather_rows(e, view.edge_perm)
         e_pre = T.add(
-            T.add(T.matmul(hu, self.A), T.matmul(hv, self.B)), T.matmul(e_can, self.C)
+            T.add(T.gather_rows(hA, view.dst), T.gather_rows(T.matmul(h, self.B), view.src)),
+            T.matmul(e_can, self.C),
         )
         sig = T.sigmoid(e_pre)
         denom = T.add(
@@ -211,19 +215,16 @@ class GatedGcnLayer:
             Tensor(np.full(self.d, self.eps)),
         )
         alpha = T.mul(sig, T.powc(denom, -1.0))
-        msg = T.mul(alpha, T.matmul(hv, self.F))
+        msg = T.mul(alpha, T.gather_rows(T.matmul(h, self.F), view.src))
         total = T.segment_sum(msg, view.dst, view.num_nodes)
 
         use_self, use_msg, use_enc = self.terms
-        use_enc = use_enc and self.encode_interactions
-        pre = Tensor(np.zeros((view.num_nodes, self.d)))
-        if use_self:
-            pre = T.add(pre, T.matmul(h, self.A))
+        parts = [hA] if use_self else []
         if use_msg:
-            pre = T.add(pre, total)
-        if use_enc:
-            enc = interaction_encoding(msg, total, self.fc, view.dst, view.num_nodes)
-            pre = T.add(pre, enc)
+            parts.append(total)
+        if use_enc and self.encode_interactions:
+            parts.append(interaction_encoding(msg, total, self.fc, view.dst, view.num_nodes))
+        pre = reduce(T.add, parts)  # ModelConfig rejects terms that select no part
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
         e_new_can = T.add(T.relu(e_pre), e_can)
@@ -249,8 +250,7 @@ def mean_pool(h: Tensor, view: GraphView) -> Tensor:
     """Per-graph mean of node embeddings."""
     sums = T.segment_sum(h, view.graph_id, view.num_graphs)
     counts = np.bincount(view.graph_id.idx, minlength=view.num_graphs).astype(float)
-    inv = np.repeat((1.0 / counts).reshape(-1, 1), h.shape[1], axis=1)
-    return T.mul(sums, Tensor(inv))
+    return T.mul(sums, Tensor(1.0 / counts[:, None]))
 
 
 class NodeClassHead:
@@ -319,6 +319,10 @@ class ModelConfig:
         self.terms = tuple(bool(t) for t in self.terms)
         if len(self.terms) != 3:
             raise ValueError("terms must be a (self, msg, enc) triple")
+        use_self, use_msg, use_enc = self.terms
+        if self.base == "gatedgcn" and not (use_self or use_msg or (use_enc and self.nlmi)):
+            raise ValueError(f"terms {list(self.terms)} with nlmi={self.nlmi} select no "
+                             "node-update term")
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -415,13 +419,14 @@ class Model:
         return state
 
     def load_state(self, state: dict) -> None:
-        """Load every parameter and statistic; the key sets must equal the model's."""
-        params = self.params()
+        """Load every parameter and statistic; keys and shapes must equal the model's."""
+        params = {key: (p, "data") for key, p in self.params().items()}
         stats = {
             f"layers.{k}.{name}": (layer.bn, name)
             for k, layer in enumerate(self.layers)
             for name in layer.stats()
         }
+        loads = []  # checked in full before anything is assigned
         for kind, have, want in (("param", state.get("params", {}), params),
                                  ("stat", state.get("stats", {}), stats)):
             missing = sorted(set(want) - set(have))
@@ -429,14 +434,14 @@ class Model:
             if missing or unknown:
                 raise ValueError(f"checkpoint {kind} keys do not match the model: "
                                  f"missing {missing}, unknown {unknown}")
-        for key, vals in state["params"].items():
-            arr = np.array(vals, dtype=np.float64)
-            if arr.shape != params[key].shape:
-                raise ValueError(f"checkpoint shape mismatch for {key}")
-            params[key].data = arr
-        for key, vals in state.get("stats", {}).items():
-            owner, name = stats[key]
-            setattr(owner, name, np.array(vals, dtype=np.float64))
+            for key, vals in have.items():
+                owner, name = want[key]
+                arr = np.array(vals, dtype=np.float64)
+                if arr.shape != getattr(owner, name).shape:
+                    raise ValueError(f"checkpoint shape mismatch for {key}")
+                loads.append((owner, name, arr))
+        for owner, name, arr in loads:
+            setattr(owner, name, arr)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -7,10 +7,12 @@ scalar loss; gradients accumulate additively across multiple uses of a
 tensor, and a second ``backward`` call adds another full pass of gradients
 on top of the first (callers zero grads between steps).
 
-Broadcasting is restricted to one rule: a binary elementwise op may pair
-an (n, d) tensor with a (d,) tensor, in which case the (d,) operand is
-applied to every row and its gradient is the row-sum of the output
-gradient. All other shape combinations must match exactly.
+Broadcasting is restricted to two rules, both for the second operand of a
+binary elementwise op on an (n, d) tensor. A (d,) operand is applied to
+every row, and its gradient is the sum of the output gradient over rows.
+An (n, 1) operand is applied to every column, and its gradient is the sum
+over columns, kept as a column. All other shape combinations must match
+exactly.
 """
 
 from __future__ import annotations
@@ -116,17 +118,19 @@ def backward(loss: Tensor) -> None:
 
 # --- elementwise / broadcast helpers -------------------------------------
 
-def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> bool:
-    """Return True when b is row-broadcast over a; raise on mismatch."""
+def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> int | None:
+    """The axis b repeats along to match a (0: a (d,) row, 1: an (n, 1) column), or None."""
     if a.shape == b.shape:
-        return False
+        return None
     if a.data.ndim == 2 and b.shape == (a.shape[1],):
-        return True
+        return 0
+    if a.data.ndim == 2 and b.shape == (a.shape[0], 1):
+        return 1
     raise ShapeError(f"{opname}: incompatible shapes {a.shape} and {b.shape}")
 
 
-def _reduce_broadcast(g: np.ndarray, broadcast: bool) -> np.ndarray:
-    return g.sum(axis=0) if broadcast else g
+def _reduce_broadcast(g: np.ndarray, axis: int | None) -> np.ndarray:
+    return g if axis is None else g.sum(axis=axis, keepdims=axis == 1)
 
 
 # --- primitive ops --------------------------------------------------------

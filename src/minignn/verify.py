@@ -2,10 +2,13 @@
 
 ``naive_forward_oracle`` re-runs a model's forward pass (eval mode) as
 literal per-node, per-neighbour loops in plain numpy, recomputing each
-rest-of-neighbourhood sum directly instead of by subtraction from the
-total. The harnesses below compare the vectorized path against this
-oracle, against node permutations, and against the base layers when the
-interaction encoder is zeroed.
+rest-of-neighbourhood sum directly instead of using the closed form. The
+harnesses below compare the vectorized path against this oracle, against
+node permutations, and against the base layers when the interaction
+encoder is zeroed. ``subtract_form_encoding`` is the interaction encoding
+edge by edge, a differentiable reference for the closed form, and
+``gradcheck_variant`` finite-difference checks one layer variant on a
+random graph.
 """
 
 from __future__ import annotations
@@ -13,9 +16,64 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .layers import GcnLayer, GatedGcnLayer, Model
+from .layers import GatedGcnLayer, GcnLayer, GraphView, Linear, Model, ModelConfig
 from .rng import Rng
 from . import tensor as T
+from .tensor import Tensor
+
+VARIANTS = {
+    "gcn": ("gcn", False),
+    "nlmi-gcn": ("gcn", True),
+    "gatedgcn": ("gatedgcn", False),
+    "nlmi-gatedgcn": ("gatedgcn", True),
+}
+
+
+def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.uniform() < 0.5:
+                pairs.append((u, v))
+    if not pairs:
+        pairs = [(0, 1)]
+    directed = sorted(set(pairs) | {(v, u) for u, v in pairs})
+    edges = np.array(directed, dtype=np.int64)
+    return Graph(
+        num_nodes=n,
+        edges=edges,
+        node_features=rng.normals((n, 3)),
+        edge_features=rng.normals((len(directed), 2)) if with_edge_features else None,
+    )
+
+
+def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
+                      h: float = 1e-5) -> float:
+    """Max relative finite-difference error over all parameters of one variant."""
+    base, nlmi = VARIANTS[variant]
+    rng = Rng(seed)
+    g = _random_graph(n_nodes, rng.spawn("graph"), with_edge_features=base == "gatedgcn")
+    config = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=1,
+                         width=d, d_in=3, d_edge=2, n_classes=2)
+    model = Model(config, rng.spawn("model"))
+    view = GraphView(g)  # every forward of the check shares g's indices
+
+    def f(_x, _model=model, _view=view):
+        pred = _model.forward(_view, training=False)
+        return T.sum_all(T.mul(pred, pred))
+
+    worst = 0.0
+    for p in model.params().values():
+        worst = max(worst, T.finite_diff_check(f, p, h))
+    return worst
+
+
+def subtract_form_encoding(msg: Tensor, total: Tensor, fc: Linear,
+                           dst: T.Rows | np.ndarray, num_nodes: int) -> Tensor:
+    """The interaction encoding edge by edge: each message m is encoded as
+    fc(concat(m, total_at_dst - m)) on an (E, 2d) row, then summed per node."""
+    rest = T.sub(T.gather_rows(total, dst), msg)
+    return T.segment_sum(fc(T.concat_cols(msg, rest)), dst, num_nodes)
 
 
 def _neighbours(g: Graph) -> list[list[tuple[int, int]]]:

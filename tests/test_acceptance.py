@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from minignn import tensor as T
-from minignn.cli import VARIANTS, _random_graph, gradcheck_variant
 from minignn.generators import DatasetSpec, generate_dataset
 from minignn.layers import Linear, Model, ModelConfig, interaction_encoding
 from minignn.rng import Rng
 from minignn.tensor import Tensor
 from minignn.training import TrainConfig, f1_positive, run_seeds, train_loop, weighted_accuracy
-from minignn.verify import (edge_order_harness, equivariance_harness,
-                            oracle_harness, reduction_harness)
+from minignn.verify import (VARIANTS, _random_graph, edge_order_harness,
+                            equivariance_harness, gradcheck_variant, oracle_harness,
+                            reduction_harness)
 
 # Frozen regression values, measured once on this implementation.
 FROZEN_SBM_BASE_ACC = 0.9936      # +/- 0.02
@@ -60,7 +60,7 @@ def test_criterion_1_scale_substitution():
            "substituted by the property suites and directional experiments below")
 
 
-# --- criterion 2: subtract-from-total identity -----------------------------------
+# --- criterion 2: closed-form identity --------------------------------------------
 
 def test_criterion_2_identity_suite():
     rng = Rng(2024)
@@ -90,7 +90,7 @@ def test_criterion_2_identity_suite():
         worst = max(worst, float(np.max(np.abs(enc.data - direct))))
     secs = time.perf_counter() - t0
     report("criterion 2 (identity)", worst < 1e-12 and secs < 10.0,
-           f"max |subtract-form - direct rest-sum| = {worst:.3e} "
+           f"max |closed-form - direct rest-sum| = {worst:.3e} "
            f"(tol 1e-12) over 100 graphs in {secs:.1f}s")
 
 

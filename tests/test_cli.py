@@ -4,7 +4,8 @@ import json
 import pytest
 
 from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError,
-                         gradcheck_variant, load_run_config, main)
+                         load_run_config, main)
+from minignn.verify import gradcheck_variant
 
 
 BASE_CONFIG = {
@@ -151,6 +152,35 @@ def test_eval_checkpoint_with_unknown_key_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "layers.9.W" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_checkpoint_with_a_wrong_stat_shape_exits_1(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"]["base"] = "gatedgcn"
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", path, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", path, "--out", str(data)]) == 0
+    ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+    ckpt["stats"]["layers.0.running_var"] = [1.0, 1.0]
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "layers.0.running_var" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_train_with_no_node_update_term_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    code = main(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                 "--base", "gatedgcn", "--terms", ""])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "no node-update term" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys):

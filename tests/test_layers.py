@@ -9,7 +9,7 @@ from minignn.layers import (BatchNorm, GatedGcnLayer, GcnLayer, GraphView,
                             mean_pool)
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
-from minignn.cli import _random_graph
+from minignn.verify import _random_graph, subtract_form_encoding
 
 
 def simple_graph(num_nodes, edges, d_in=2, seed=0, **kwargs):
@@ -108,6 +108,61 @@ def test_subtract_form_equals_direct_rest_sum():
         row = np.concatenate([m[i], rest]).reshape(1, -1)
         direct[dst[i]] += (row @ fc.weight.data + fc.bias.data).reshape(-1)
     assert np.max(np.abs(enc.data - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("as_rows", [False, True])
+def test_closed_form_encoding_matches_the_subtract_form(as_rows):
+    rng = Rng(30)
+    d, n = 4, 5
+    # in-degrees: node 0 three, node 1 one, node 2 none, node 3 two, node 4 none
+    dst = np.array([0, 3, 1, 0, 3, 0])
+    index = T.Rows(dst, n) if as_rows else dst
+    m0 = rng.normals((len(dst), d))
+    fc = Linear(2 * d, d, rng.spawn("fc"))
+    weights = Tensor(rng.normals((n, d)))
+    runs = []
+    for encode in (interaction_encoding, subtract_form_encoding):
+        msg = Tensor(m0.copy(), requires_grad=True)
+        fc.weight.zero_grad()
+        fc.bias.zero_grad()
+        total = T.segment_sum(msg, index, n)  # msg's gradient flows through total too
+        enc = encode(msg, total, fc, index, n)
+        backward(T.sum_all(T.mul(enc, weights)))
+        runs.append((enc.data, msg.grad, fc.weight.grad, fc.bias.grad))
+    for closed, reference in zip(*runs):
+        npt.assert_allclose(closed, reference, rtol=0, atol=1e-12)
+    npt.assert_array_equal(runs[0][0][[2, 4]], 0.0)
+
+
+@pytest.mark.parametrize("base", ["gcn", "gatedgcn"])
+def test_nlmi_creates_no_edge_row_tensor(base, monkeypatch):
+    rng = Rng(31)
+    g = _random_graph(9, rng.spawn("g"), True)
+    view = GraphView(g)
+    assert view.num_edges != view.num_nodes
+    h = Tensor(rng.normals((9, 4)), requires_grad=True)
+    e = Tensor(rng.normals((g.num_edges, 4)), requires_grad=True)
+    rows = {}
+    for nlmi in (False, True):
+        if base == "gcn":
+            layer = GcnLayer(4, Rng(32), encode_interactions=nlmi)
+        else:
+            layer = GatedGcnLayer(4, Rng(32), encode_interactions=nlmi)
+        made = rows[nlmi] = []
+        record = T._record
+
+        def counting(out, inputs, backward_fn, _made=made, _record=record):
+            _made.append(out.shape[0] if out.data.ndim else None)
+            return _record(out, inputs, backward_fn)
+
+        monkeypatch.setattr(T, "_record", counting)
+        if base == "gcn":
+            layer.forward(h, view, training=True)
+        else:
+            layer.forward(h, e, view, training=True)
+        monkeypatch.undo()
+    assert len(rows[True]) > len(rows[False])  # the encoding ran
+    assert rows[True].count(view.num_edges) == rows[False].count(view.num_edges)
 
 
 # --- edge gating -----------------------------------------------------------------
@@ -359,6 +414,25 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     state["params"]["node_encoder.weight"] = [[0.0]]
     with pytest.raises(ValueError, match="shape mismatch"):
         model.load_state(state)
+
+
+def test_checkpoint_stat_shape_mismatch_rejected_before_any_load():
+    cfg = ModelConfig(task="node-class", base="gatedgcn", nlmi=True, k_layers=2,
+                      width=4, d_in=3, d_edge=2)
+    state = Model(cfg, Rng(1)).state()
+    state["stats"]["layers.1.running_var"] = [1.0, 1.0]
+    model = Model(cfg, Rng(2))
+    before = model.state()
+    with pytest.raises(ValueError, match=r"shape mismatch for layers\.1\.running_var"):
+        model.load_state(state)
+    assert model.state() == before
+
+
+@pytest.mark.parametrize("terms,nlmi", [((False, False, False), True),
+                                        ((False, False, True), False)])
+def test_config_selecting_no_node_update_term_rejected(terms, nlmi):
+    with pytest.raises(ValueError, match="no node-update term"):
+        ModelConfig(task="node-class", base="gatedgcn", nlmi=nlmi, terms=terms)
 
 
 @pytest.mark.parametrize("base, section, key", [

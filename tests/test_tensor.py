@@ -73,9 +73,35 @@ def test_constant_operand_gets_no_gradient_computed(op):
     assert out.backward_fn(np.ones((1, 2)))[1] is not None
 
 
+def test_column_broadcast_values_and_grads():
+    rng = Rng(44)
+    a0 = rng.normals((4, 3))
+    c0 = rng.normals((4, 1))
+    for op, ref in ((T.add, np.add), (T.sub, np.subtract), (T.mul, np.multiply)):
+        npt.assert_array_equal(op(Tensor(a0), Tensor(c0)).data, ref(a0, c0))
+        c = Tensor(c0.copy(), requires_grad=True)
+
+        def f(t, _op=op):
+            out = _op(Tensor(a0), t)
+            return T.sum_all(T.mul(out, out))
+
+        assert finite_diff_check(f, c) < 1e-5
+        assert c.grad.shape == (4, 1)
+
+
+def test_column_broadcast_grad_is_the_row_sum_kept_as_a_column():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    c = Tensor(np.array([[2.0], [-1.0]]), requires_grad=True)
+    backward(T.sum_all(T.mul(x, c)))
+    npt.assert_array_equal(c.grad, [[3.0], [12.0]])
+    npt.assert_array_equal(x.grad, [[2.0] * 3, [-1.0] * 3])
+
+
 def test_incompatible_broadcast_rejected():
-    with pytest.raises(ShapeError):
-        T.add(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
+    for a_shape, b_shape in (((3, 2), (2, 2)), ((3, 2), (2, 1)), ((3, 2), (3,)),
+                             ((3, 1), (3, 2)), ((3, 2), (1, 2))):
+        with pytest.raises(ShapeError):
+            T.add(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
 
 def test_backward_sum_grad_is_ones():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from minignn import tensor as T
-from minignn.cli import _random_graph
 from minignn.layers import Model, ModelConfig
 from minignn.rng import Rng
-from minignn.verify import (edge_order_harness, equivariance_harness,
+from minignn.verify import (_random_graph, edge_order_harness, equivariance_harness,
                             make_zero_encoder_twin, naive_forward_oracle,
                             oracle_harness, reduction_harness)
 
@@ -84,6 +83,7 @@ def test_nonzero_encoder_breaks_reduction():
 
 def test_ablation_terms_respected_by_oracle():
     for terms in [(True, True, False), (True, False, True),
-                  (False, True, True), (True, True, True)]:
+                  (False, True, True), (True, True, True),
+                  (True, False, False), (False, True, False), (False, False, True)]:
         model = build("gatedgcn", nlmi=True, terms=terms, seed=8, k_layers=1)
         assert oracle_harness(model, graphs_for("gatedgcn", 3)) < 1e-10
