@@ -63,10 +63,27 @@ def load_run_config(path) -> dict:
     _check_keys(raw, {"version", "dataset", "model", "train", "seeds", "out"}, "config")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_VERSION}")
-    _check_keys(raw.get("dataset", {}), _fields(DatasetSpec), "dataset")
-    _check_keys(raw.get("model", {}), _fields(ModelConfig), "model")
-    _check_keys(raw.get("train", {}), _fields(TrainConfig), "train")
+    if "dataset" not in raw:
+        raise ConfigError(f"{path}: config has no dataset section")
+    for section, cls in (("dataset", DatasetSpec), ("model", ModelConfig), ("train", TrainConfig)):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"{path}: {section} must be a JSON object")
+        _check_keys(raw.get(section, {}), _fields(cls), section)
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds or any(
+            isinstance(s, bool) or not isinstance(s, int) for s in seeds):
+        raise ConfigError(f"{path}: seeds must be a non-empty list of integers, got {seeds!r}")
+    if not isinstance(raw.get("out", "."), str):
+        raise ConfigError(f"{path}: out must be a path string")
     return raw
+
+
+def _make(cls, section: str, values: dict):
+    """cls(**values), with missing keys reported as a config error."""
+    try:
+        return cls(**values)
+    except TypeError as err:
+        raise ConfigError(f"bad {section} config: {err}") from err
 
 
 def _apply_overrides(raw: dict, args) -> dict:
@@ -87,7 +104,6 @@ def _apply_overrides(raw: dict, args) -> dict:
     raw["model"] = model
     if getattr(args, "seed", None) is not None:
         raw["seeds"] = [args.seed]
-        raw.setdefault("dataset", {})
         raw["dataset"] = {**raw["dataset"], "seed": raw["dataset"].get("seed", args.seed)}
     if getattr(args, "out", None) is not None:
         raw["out"] = args.out
@@ -95,9 +111,13 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 
 def _build(raw: dict):
-    spec = DatasetSpec(**raw["dataset"])
-    model_config = ModelConfig(**raw["model"])
-    train_config = TrainConfig(**raw.get("train", {}))
+    """The parts of a train or ablate run; both need graphs in every split."""
+    spec = _make(DatasetSpec, "dataset", raw["dataset"])
+    empty = [name for name in ("n_train", "n_val", "n_test") if getattr(spec, name) == 0]
+    if empty:
+        raise ConfigError(f"dataset {', '.join(empty)} must be >= 1 to train")
+    model_config = _make(ModelConfig, "model", raw["model"])
+    train_config = _make(TrainConfig, "train", raw.get("train", {}))
     seeds = raw.get("seeds", [0])
     out = Path(raw.get("out", "."))
     return spec, model_config, train_config, seeds, out
@@ -120,7 +140,7 @@ def _check_feature_widths(config: ModelConfig, splits: dict) -> None:
 
 def cmd_gen(args) -> int:
     raw = load_run_config(args.config)
-    spec = DatasetSpec(**raw["dataset"])
+    spec = _make(DatasetSpec, "dataset", raw["dataset"])
     splits = generate_dataset(spec)
     save_dataset(args.out, spec, splits)
     sizes = {name: len(graphs) for name, graphs in splits.items()}

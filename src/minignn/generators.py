@@ -28,6 +28,12 @@ class DatasetError(ValueError):
     """Malformed or incompatible dataset file."""
 
 
+def check_int(what: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _both_directions(pairs: list[tuple[int, int]]) -> np.ndarray:
     """Directed edge array for an undirected pair list, lexicographically sorted."""
     directed = sorted(set(pairs) | {(v, u) for u, v in pairs})
@@ -285,6 +291,8 @@ class DatasetSpec:
                 f"generator {self.generator!r} produces {expected!r} labels, "
                 f"not {self.task!r}"
             )
+        for name in ("n_train", "n_val", "n_test"):
+            check_int(f"dataset {name}", getattr(self, name), 0)
         if not isinstance(self.params, dict):
             raise ValueError(f"generator params must be an object, got {self.params!r}")
         signature = inspect.signature(fn).parameters

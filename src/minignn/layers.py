@@ -11,9 +11,13 @@ T·W1 + (k-1)·T·W2 + k·b for a node with message total T and in-degree k,
 computed on node rows. Every dense weight multiplies node rows too, before
 the products are gathered onto edges: h[idx] @ W == (h @ W)[idx].
 
-All per-node sums run over edges in a canonical order (sorted by
-destination, then source), so results are independent of edge storage
-order and node-permutation equivariance is testable at tight tolerances.
+Edges are in a canonical order (sorted by destination, then source) from
+the edge encoder onwards: the model indexes the raw edge features once, and
+the gated layers read and return edge embeddings in that order. So all
+per-node sums run over edges in one order, results are independent of edge
+storage order, and node-permutation equivariance is testable at tight
+tolerances. In-degrees live on the view as one column; the gate normaliser
+runs on node rows and is gathered onto edges once.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .generators import TASKS
+from .generators import TASKS, check_int
 from .graph import Graph, GraphBatch
 from .rng import Rng
 from . import tensor as T
@@ -32,33 +36,33 @@ from .tensor import Tensor
 
 BASES = ("gcn", "gatedgcn")
 GATE_EPS = 1e-6
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 class GraphView:
     """Precomputed index structure for one forward pass over a graph/batch.
 
-    ``src``, ``dst``, ``edge_perm``, ``inv_perm`` and ``graph_id`` are
-    ``tensor.Rows``: every gather, segment sum and backward scatter of the
-    pass goes through them, so all layers share one flattened index each.
+    ``src``, ``dst`` and ``graph_id`` are ``tensor.Rows``: every gather,
+    segment sum and backward scatter of the pass goes through them, so all
+    layers share one flattened index each. ``edge_perm`` takes stored edge
+    rows to canonical ones, and ``in_deg`` is the (n, 1) in-degree column.
     A view can be passed to ``Model.forward`` in place of its graph, so
     repeated forwards of one graph share its indices too.
     """
 
     def __init__(self, g: Graph | GraphBatch):
         self.graph = g
-        n, e = g.num_nodes, g.num_edges
+        n = g.num_nodes
         self.num_nodes = n
-        self.num_edges = e
+        self.num_edges = g.num_edges
         src = g.edges[:, 0]
         dst = g.edges[:, 1]
         order = np.lexsort((src, dst))  # canonical: by dst, then src
         self.src = T.Rows(src[order], n)
         self.dst = T.Rows(dst[order], n)
-        self.edge_perm = T.Rows(order, e)  # canonical row i came from storage row order[i]
-        inv_perm = np.empty_like(order)
-        inv_perm[order] = np.arange(e)
-        self.inv_perm = T.Rows(inv_perm, e)
-        self.in_deg = np.bincount(dst, minlength=n).astype(float)  # per node
+        self.edge_perm = order  # canonical row i came from storage row order[i]
+        self.in_deg = np.bincount(dst, minlength=n).astype(float)[:, None]
         if isinstance(g, GraphBatch):
             self.num_graphs = g.num_graphs
             self.graph_id = T.Rows(g.graph_id, g.num_graphs)
@@ -89,13 +93,11 @@ class Linear:
 class BatchNorm:
     """Per-feature normalization over the node axis with running statistics."""
 
-    def __init__(self, d: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
         self.running_mean = np.zeros(d)
         self.running_var = np.ones(d)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
@@ -103,16 +105,12 @@ class BatchNorm:
             mean = T.scale(T.sum_rows(x), 1.0 / n)
             xc = T.sub(x, mean)
             var = T.scale(T.sum_rows(T.mul(xc, xc)), 1.0 / n)
-            self.running_mean = (
-                (1.0 - self.momentum) * self.running_mean + self.momentum * mean.data
-            )
-            self.running_var = (
-                (1.0 - self.momentum) * self.running_var + self.momentum * var.data
-            )
+            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean.data
+            self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var.data
         else:
             xc = T.sub(x, Tensor(self.running_mean))
             var = Tensor(self.running_var)
-        inv_std = T.powc(T.add(var, Tensor(np.full(var.shape, self.eps))), -0.5)
+        inv_std = T.powc(T.add(var, Tensor(np.full(var.shape, BN_EPS))), -0.5)
         return T.add(T.mul(T.mul(xc, inv_std), self.gamma), self.beta)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -122,19 +120,15 @@ class BatchNorm:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
-def interaction_encoding(
-    msg: Tensor, total: Tensor, fc: Linear, dst: T.Rows | np.ndarray, num_nodes: int
-) -> Tensor:
-    """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming edges.
+def interaction_encoding(total: Tensor, fc: Linear, deg: np.ndarray) -> Tensor:
+    """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming messages m.
 
-    In closed form on node rows; total must be the per-node sum of msg, which
-    is not read. For a node with in-degree k, fc.weight = [W1; W2] and mean
+    In closed form on node rows, from each node's message total T and its
+    in-degree k (deg, an (n, 1) column). For fc.weight = [W1; W2] and mean
     message M = T/k: T·W1 + (k-1)·T·W2 + k·b = k·fc(concat(M, T - M)).
     """
-    idx = dst.idx if isinstance(dst, T.Rows) else dst
-    k = np.bincount(idx, minlength=num_nodes).astype(float)[:, None]
-    mean = T.mul(total, Tensor(1.0 / np.maximum(k, 1.0)))
-    return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), Tensor(k))
+    mean = T.mul(total, Tensor(1.0 / np.maximum(deg, 1.0)))
+    return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), Tensor(deg))
 
 
 class GcnLayer:
@@ -147,13 +141,12 @@ class GcnLayer:
         self.encode_interactions = encode_interactions
 
     def forward(self, h: Tensor, view: GraphView, training: bool) -> Tensor:
-        inv_deg = 1.0 / view.in_deg[view.dst.idx]  # per canonical edge (in-degree >= 1)
-        msg = T.mul(T.gather_rows(T.matmul(h, self.W), view.src), Tensor(inv_deg[:, None]))
-        total = T.segment_sum(msg, view.dst, view.num_nodes)
+        msgs = T.gather_rows(T.matmul(h, self.W), view.src)
+        total = T.mul(T.segment_sum(msgs, view.dst, view.num_nodes),
+                      Tensor(1.0 / np.maximum(view.in_deg, 1.0)))  # sum of h_v W / k
         pre = total
         if self.encode_interactions:
-            enc = interaction_encoding(msg, total, self.fc, view.dst, view.num_nodes)
-            pre = T.add(pre, enc)
+            pre = T.add(pre, interaction_encoding(total, self.fc, view.in_deg))
         return T.relu(pre)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -173,7 +166,8 @@ class GatedGcnLayer:
     incoming sigmoids plus a small constant. The node update sums up to
     three terms (A h_u, aggregated message, interaction encoding),
     selectable via ``terms`` for ablations; edge features update as
-    relu(pre-activation) plus the previous edge features.
+    relu(pre-activation) plus the previous edge features, both in canonical
+    edge order.
     """
 
     def __init__(
@@ -182,10 +176,7 @@ class GatedGcnLayer:
         rng: Rng,
         encode_interactions: bool,
         terms: tuple[bool, bool, bool] = (True, True, True),
-        eps: float = GATE_EPS,
     ):
-        if eps <= 0:
-            raise ValueError(f"gate eps must be positive, got {eps}")
         bound = 1.0 / np.sqrt(d)
 
         def mat(label):
@@ -199,22 +190,17 @@ class GatedGcnLayer:
         self.bn = BatchNorm(d)
         self.encode_interactions = encode_interactions
         self.terms = terms
-        self.eps = eps
-        self.d = d
 
     def forward(self, h: Tensor, e: Tensor, view: GraphView, training: bool):
         hA = T.matmul(h, self.A)
-        e_can = T.gather_rows(e, view.edge_perm)
         e_pre = T.add(
             T.add(T.gather_rows(hA, view.dst), T.gather_rows(T.matmul(h, self.B), view.src)),
-            T.matmul(e_can, self.C),
+            T.matmul(e, self.C),
         )
         sig = T.sigmoid(e_pre)
-        denom = T.add(
-            T.gather_rows(T.segment_sum(sig, view.dst, view.num_nodes), view.dst),
-            Tensor(np.full(self.d, self.eps)),
-        )
-        alpha = T.mul(sig, T.powc(denom, -1.0))
+        denom = T.add(T.segment_sum(sig, view.dst, view.num_nodes),
+                      Tensor(np.full(h.shape[1], GATE_EPS)))
+        alpha = T.mul(sig, T.gather_rows(T.powc(denom, -1.0), view.dst))
         msg = T.mul(alpha, T.gather_rows(T.matmul(h, self.F), view.src))
         total = T.segment_sum(msg, view.dst, view.num_nodes)
 
@@ -223,13 +209,11 @@ class GatedGcnLayer:
         if use_msg:
             parts.append(total)
         if use_enc and self.encode_interactions:
-            parts.append(interaction_encoding(msg, total, self.fc, view.dst, view.num_nodes))
+            parts.append(interaction_encoding(total, self.fc, view.in_deg))
         pre = reduce(T.add, parts)  # ModelConfig rejects terms that select no part
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
-        e_new_can = T.add(T.relu(e_pre), e_can)
-        e_new = T.gather_rows(e_new_can, view.inv_perm)
-        return h_new, e_new
+        return h_new, T.add(T.relu(e_pre), e)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {
@@ -312,13 +296,16 @@ class ModelConfig:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.base not in BASES:
             raise ValueError(f"unknown base {self.base!r}, expected one of {BASES}")
-        for name, least in (("k_layers", 0), ("width", 1), ("d_in", 1), ("d_edge", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"model {name} must be an integer >= {least}, got {value!r}")
-        self.terms = tuple(bool(t) for t in self.terms)
-        if len(self.terms) != 3:
-            raise ValueError("terms must be a (self, msg, enc) triple")
+        for name, least in (("k_layers", 0), ("width", 1), ("d_in", 1), ("d_edge", 1),
+                            ("n_classes", 1)):
+            check_int(f"model {name}", getattr(self, name), least)
+        if not isinstance(self.nlmi, bool):
+            raise ValueError(f"model nlmi must be true or false, got {self.nlmi!r}")
+        if not isinstance(self.terms, (list, tuple)) or len(self.terms) != 3 \
+                or not all(isinstance(t, bool) for t in self.terms):
+            raise ValueError(f"model terms must be a (self, msg, enc) triple of booleans, "
+                             f"got {self.terms!r}")
+        self.terms = tuple(self.terms)
         use_self, use_msg, use_enc = self.terms
         if self.base == "gatedgcn" and not (use_self or use_msg or (use_enc and self.nlmi)):
             raise ValueError(f"terms {list(self.terms)} with nlmi={self.nlmi} select no "
@@ -332,7 +319,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         try:
-            return cls(**{**d, "terms": tuple(d.get("terms", (True, True, True)))})
+            return cls(**d)  # __post_init__ makes terms a tuple
         except TypeError as err:  # unknown or missing keys
             raise ValueError(f"bad model config: {err}") from err
 
@@ -369,7 +356,7 @@ class Model:
     # --- forward ---------------------------------------------------------
 
     def embeddings(self, g: Graph | GraphBatch | GraphView, training: bool = False):
-        """Final node embeddings (and edge embeddings for the gated base)."""
+        """Final node embeddings and the view they were computed over."""
         view = g if isinstance(g, GraphView) else GraphView(g)
         g = view.graph
         h = self.node_encoder(Tensor(g.node_features))
@@ -378,17 +365,17 @@ class Model:
             raw = g.edge_features
             if raw is None:
                 raw = np.zeros((g.num_edges, self.config.d_edge))
-            e = self.edge_encoder(Tensor(raw))
+            e = self.edge_encoder(Tensor(raw[view.edge_perm]))  # canonical order
         for k, layer in enumerate(self.layers):
             if isinstance(layer, GcnLayer):
                 h = layer.forward(h, view, training)
             else:
                 h, e = layer.forward(h, e, view, training)
             T.assert_finite(h, f"layer {k} node output")
-        return h, e, view
+        return h, view
 
     def forward(self, g: Graph | GraphBatch | GraphView, training: bool = False) -> Tensor:
-        h, _, view = self.embeddings(g, training)
+        h, view = self.embeddings(g, training)
         return self.head(h, view)
 
     # --- parameters and checkpoints ---------------------------------------

@@ -10,13 +10,16 @@ the model seed, and the config.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .generators import check_int
 from .graph import Graph, GraphBatch, batch as make_batch
 from .layers import Model, ModelConfig
 from .rng import Rng
@@ -84,8 +87,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     """Softmax cross-entropy, mean-reduced (weighted mean when weights given)."""
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
-    shift = Tensor(np.repeat(logits.data.max(axis=1, keepdims=True), c, axis=1))
-    z = T.sub(logits, shift)
+    z = T.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))  # (n, 1) column
     lse = T.log(T.sum_cols(T.exp(z)))
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
@@ -105,10 +107,7 @@ def binary_ce(logits: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> Te
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     y = Tensor(labels)
     # max(z, 0) - z*y + log(1 + exp(-|z|))
-    softplus = T.log(
-        T.add(T.exp(T.scale(T.absolute(logits), -1.0)),
-              Tensor(np.ones(logits.shape)))
-    )
+    softplus = T.log(T.add(T.exp(T.scale(T.absolute(logits), -1.0)), Tensor(np.ones(1))))
     per = T.add(T.sub(T.relu(logits), T.mul(logits, y)), softplus)
     w = np.where(labels > 0.5, pos_weight, 1.0)
     return T.scale(T.sum_all(T.mul(per, Tensor(w))), 1.0 / w.sum())
@@ -169,6 +168,18 @@ class TrainConfig:
     max_epochs: int = 1000
     batch_size: int = 16
     weight_classes: bool = True
+
+    def __post_init__(self):
+        for name, least in (("patience", 0), ("max_epochs", 1), ("batch_size", 1)):
+            check_int(f"train {name}", getattr(self, name), least)
+        for name, high in (("lr", math.inf), ("min_lr", math.inf), ("factor", 1.0)):
+            value = getattr(self, name)  # lr may be 0: a frozen run
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0.0 <= value <= high:
+                raise ValueError(f"train {name} must be a number in [0, {high}], got {value!r}")
+        if not isinstance(self.weight_classes, bool):
+            raise ValueError(f"train weight_classes must be true or false, "
+                             f"got {self.weight_classes!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -260,9 +271,35 @@ def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
     return mean_loss, compute_metric(pred_all, lab_all, task)
 
 
+# mallopt parameter numbers from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _retain_freed_memory() -> None:
+    """Ask glibc's malloc to keep freed memory in the process for reuse.
+
+    A training step allocates and frees tens of MB of activation and gradient
+    arrays of about 1 MB each. By default glibc hands the top of the heap back
+    to the OS as soon as a few MB are free there, so unless some long-lived
+    array happens to sit above them, every step faults the same pages in
+    again: about 15k minor faults per forward on a 16-graph SBM batch
+    (960 nodes, 9.7k edges). Fixed thresholds keep arrays below 32 MB on the
+    heap and the heap at its peak size, so the pages are reused. Elsewhere
+    than Linux this does nothing; a C library without mallopt is skipped.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig,
                rng: Rng) -> tuple[list[MetricsRecord], dict]:
     """Train with plateau scheduling; returns (history, best-val model state)."""
+    _retain_freed_memory()
     task = model.config.task
     metric_name = _METRIC_NAMES[task]
     class_weights, pos_weight = _loss_weights(

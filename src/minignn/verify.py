@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .layers import GatedGcnLayer, GcnLayer, GraphView, Linear, Model, ModelConfig
+from .layers import (BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, GraphView, Linear, Model,
+                     ModelConfig)
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -136,7 +137,7 @@ def _gated_layer_naive(h: np.ndarray, e: np.ndarray, g: Graph,
     pre = np.zeros_like(h)
     for u in range(g.num_nodes):
         pairs = inc[u]
-        denom = np.full(d, layer.eps)
+        denom = np.full(d, GATE_EPS)
         for _, ei in pairs:
             denom = denom + sig[ei]
         msgs = [sig[ei] / denom * (h[v] @ F) for v, ei in pairs]
@@ -160,7 +161,7 @@ def _gated_layer_naive(h: np.ndarray, e: np.ndarray, g: Graph,
         pre[u] = acc
 
     bn = layer.bn
-    normed = (pre - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    normed = (pre - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     normed = normed * bn.gamma.data + bn.beta.data
     h_new = np.maximum(normed, 0.0) + h
     e_new = np.maximum(e_pre, 0.0) + e
@@ -189,7 +190,7 @@ def oracle_harness(model: Model, graphs: list[Graph]) -> float:
     worst = 0.0
     for g in graphs:
         with T.no_grad():
-            h, _, _ = model.embeddings(g, training=False)
+            h, _ = model.embeddings(g, training=False)
         ref = naive_forward_oracle(g, model)
         worst = max(worst, float(np.max(np.abs(h.data - ref))))
     return worst
@@ -198,13 +199,13 @@ def oracle_harness(model: Model, graphs: list[Graph]) -> float:
 def equivariance_harness(model: Model, g: Graph, n_perms: int, rng: Rng) -> float:
     """Max |P.f(G) - f(P.G)| over random node permutations, eval mode."""
     with T.no_grad():
-        h0, _, _ = model.embeddings(g, training=False)
+        h0, _ = model.embeddings(g, training=False)
     worst = 0.0
     for _ in range(n_perms):
         perm = np.array(rng.sample(g.num_nodes, g.num_nodes), dtype=np.int64)
         pg = g.permute_nodes(perm)
         with T.no_grad():
-            h1, _, _ = model.embeddings(pg, training=False)
+            h1, _ = model.embeddings(pg, training=False)
         worst = max(worst, float(np.max(np.abs(h1.data[perm] - h0.data))))
     return worst
 
@@ -212,7 +213,7 @@ def equivariance_harness(model: Model, g: Graph, n_perms: int, rng: Rng) -> floa
 def edge_order_harness(model: Model, g: Graph, n_shuffles: int, rng: Rng) -> float:
     """Max deviation of node embeddings under shuffled edge storage order."""
     with T.no_grad():
-        h0, _, _ = model.embeddings(g, training=False)
+        h0, _ = model.embeddings(g, training=False)
     worst = 0.0
     for _ in range(n_shuffles):
         order = np.array(rng.sample(g.num_edges, g.num_edges), dtype=np.int64)
@@ -226,7 +227,7 @@ def edge_order_harness(model: Model, g: Graph, n_shuffles: int, rng: Rng) -> flo
             edge_labels=None if g.edge_labels is None else g.edge_labels[order],
         )
         with T.no_grad():
-            h1, _, _ = model.embeddings(shuffled, training=False)
+            h1, _ = model.embeddings(shuffled, training=False)
         worst = max(worst, float(np.max(np.abs(h1.data - h0.data))))
     return worst
 
@@ -260,7 +261,7 @@ def reduction_harness(base: Model, graphs: list[Graph]) -> float:
     worst = 0.0
     for g in graphs:
         with T.no_grad():
-            hb, _, _ = base.embeddings(g, training=False)
-            ht, _, _ = twin.embeddings(g, training=False)
+            hb, _ = base.embeddings(g, training=False)
+            ht, _ = twin.embeddings(g, training=False)
         worst = max(worst, float(np.max(np.abs(hb.data - ht.data))))
     return worst

@@ -202,7 +202,8 @@ def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),
-    ("width", "16"),
+    ("width", "16"), ("n_classes", 0), ("nlmi", "off"), ("terms", "msg"),
+    ("terms", [True, "no", True]),
 ])
 def test_invalid_model_config_exits_1(tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -211,6 +212,42 @@ def test_invalid_model_config_exits_1(tmp_path, capsys, key, value):
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+DELETE = "<delete>"
+
+
+@pytest.mark.parametrize("command,path,value,message", [
+    ("train", "dataset", DELETE, "no dataset section"),
+    ("gen", "dataset", DELETE, "no dataset section"),
+    ("train", "model.task", DELETE, "'task'"),
+    ("train", "dataset.task", DELETE, "'task'"),
+    ("gen", "dataset.generator", DELETE, "'generator'"),
+    ("train", "dataset", "sbm", "dataset must be a JSON object"),
+    ("train", "seeds", 3, "seeds"),
+    ("train", "seeds", [], "seeds"),
+    ("train", "out", 5, "out"),
+    ("train", "train.batch_size", 0, "batch_size"),
+    ("train", "train.lr", -0.5, "lr"),
+    ("train", "dataset.n_val", 0, "n_val"),
+    ("ablate", "dataset.n_test", 0, "n_test"),
+    ("gen", "dataset.n_train", "3", "n_train"),
+])
+def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    if value is DELETE:
+        del section[key]
+    else:
+        section[key] = value
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

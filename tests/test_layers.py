@@ -4,12 +4,16 @@ import pytest
 
 from minignn import tensor as T
 from minignn.graph import Graph, batch
-from minignn.layers import (BatchNorm, GatedGcnLayer, GcnLayer, GraphView,
-                            Linear, Model, ModelConfig, interaction_encoding,
-                            mean_pool)
+from minignn.layers import (BN_EPS, GATE_EPS, BatchNorm, GatedGcnLayer, GcnLayer,
+                            GraphView, Linear, Model, ModelConfig,
+                            interaction_encoding, mean_pool)
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
 from minignn.verify import _random_graph, subtract_form_encoding
+
+
+def degrees(dst, n):
+    return np.bincount(dst, minlength=n).astype(float)[:, None]
 
 
 def simple_graph(num_nodes, edges, d_in=2, seed=0, **kwargs):
@@ -73,7 +77,7 @@ def test_encoding_single_neighbour_rest_is_zero():
     m = rng.normals((1, d))
     msg = Tensor(m)
     total = T.segment_sum(msg, np.array([0]), 1)
-    enc = interaction_encoding(msg, total, fc, np.array([0]), 1)
+    enc = interaction_encoding(total, fc, np.ones((1, 1)))
     direct = np.concatenate([m, np.zeros((1, d))], axis=1) @ fc.weight.data + fc.bias.data
     npt.assert_allclose(enc.data, direct, atol=1e-15)
 
@@ -87,7 +91,7 @@ def test_zero_encoder_gives_zero_encoding():
     msg = Tensor(rng.normals((4, d)))
     dst = np.array([0, 0, 1, 1])
     total = T.segment_sum(msg, dst, 2)
-    enc = interaction_encoding(msg, total, fc, dst, 2)
+    enc = interaction_encoding(total, fc, degrees(dst, 2))
     npt.assert_array_equal(enc.data, np.zeros((2, d)))
 
 
@@ -99,7 +103,7 @@ def test_subtract_form_equals_direct_rest_sum():
     m = rng.normals((6, d))
     msg = Tensor(m)
     total = T.segment_sum(msg, dst, 3)
-    enc = interaction_encoding(msg, total, fc, dst, 3)
+    enc = interaction_encoding(total, fc, degrees(dst, 3))
 
     direct = np.zeros((3, d))
     for i in range(6):
@@ -121,12 +125,13 @@ def test_closed_form_encoding_matches_the_subtract_form(as_rows):
     fc = Linear(2 * d, d, rng.spawn("fc"))
     weights = Tensor(rng.normals((n, d)))
     runs = []
-    for encode in (interaction_encoding, subtract_form_encoding):
+    for encode in (lambda msg, total: interaction_encoding(total, fc, degrees(dst, n)),
+                   lambda msg, total: subtract_form_encoding(msg, total, fc, index, n)):
         msg = Tensor(m0.copy(), requires_grad=True)
         fc.weight.zero_grad()
         fc.bias.zero_grad()
         total = T.segment_sum(msg, index, n)  # msg's gradient flows through total too
-        enc = encode(msg, total, fc, index, n)
+        enc = encode(msg, total)
         backward(T.sum_all(T.mul(enc, weights)))
         runs.append((enc.data, msg.grad, fc.weight.grad, fc.bias.grad))
     for closed, reference in zip(*runs):
@@ -165,6 +170,42 @@ def test_nlmi_creates_no_edge_row_tensor(base, monkeypatch):
     assert rows[True].count(view.num_edges) == rows[False].count(view.num_edges)
 
 
+@pytest.mark.parametrize("base,edge_rows", [("gcn", 1), ("gatedgcn", 12)])
+def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
+    # Edges stay in canonical order and degrees on the view, so a layer gathers
+    # only node rows: no edge permutation and no per-edge degree or normaliser.
+    rng = Rng(33)
+    g = _random_graph(9, rng.spawn("g"), True)
+    view = GraphView(g)
+    assert view.num_edges != view.num_nodes
+    h = Tensor(rng.normals((9, 4)), requires_grad=True)
+    e = Tensor(rng.normals((g.num_edges, 4)), requires_grad=True)
+    if base == "gcn":
+        layer = GcnLayer(4, Rng(34), encode_interactions=True)
+    else:
+        layer = GatedGcnLayer(4, Rng(34), encode_interactions=True)
+    made, gathered = [], []
+    record, gather = T._record, T.gather_rows
+
+    def counting(out, inputs, backward_fn):
+        made.append(out.shape[0] if out.data.ndim else None)
+        return record(out, inputs, backward_fn)
+
+    def gathering(a, idx):
+        gathered.append(a.shape[0])
+        return gather(a, idx)
+
+    monkeypatch.setattr(T, "_record", counting)
+    monkeypatch.setattr(T, "gather_rows", gathering)
+    if base == "gcn":
+        layer.forward(h, view, training=True)
+    else:
+        layer.forward(h, e, view, training=True)
+    monkeypatch.undo()
+    assert made.count(view.num_edges) == edge_rows
+    assert gathered and view.num_edges not in gathered
+
+
 # --- edge gating -----------------------------------------------------------------
 
 def gated_setup(edges, n, d=3, seed=8):
@@ -187,7 +228,7 @@ def _gates(layer, g):
                   T.matmul(e_can, layer.C))
     sig = T.sigmoid(e_pre)
     denom = T.add(T.gather_rows(T.segment_sum(sig, view.dst, view.num_nodes), view.dst),
-                  Tensor(np.full((view.num_edges, layer.d), layer.eps)))
+                  Tensor(np.full((view.num_edges, layer.A.shape[0]), GATE_EPS)))
     return T.mul(sig, T.powc(denom, -1.0)).data, view
 
 
@@ -221,14 +262,9 @@ def test_gate_sums_in_unit_interval():
     alpha, view = _gates(layer, g)
     sums = np.zeros((g.num_nodes, 3))
     np.add.at(sums, view.dst.idx, alpha)
-    present = view.in_deg > 0
+    present = view.in_deg[:, 0] > 0
     assert np.all(sums[present] > 0.0)
     assert np.all(sums[present] <= 1.0)
-
-
-def test_gated_layer_rejects_bad_eps():
-    with pytest.raises(ValueError, match="eps"):
-        GatedGcnLayer(3, Rng(0), encode_interactions=True, eps=0.0)
 
 
 # --- batch norm -------------------------------------------------------------------
@@ -248,7 +284,7 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_var = np.array([4.0, 0.25])
     x = Tensor(np.array([[3.0, 0.0]]))
     out = bn(x, training=False)
-    expected = (x.data - bn.running_mean) / np.sqrt(bn.running_var + bn.eps)
+    expected = (x.data - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
     npt.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -275,8 +311,8 @@ def test_permutation_equivariance_exact_layer():
     model = Model(cfg, rng.spawn("m"))
     perm = np.array(rng.spawn("p").sample(7, 7))
     with T.no_grad():
-        h0, _, _ = model.embeddings(g)
-        h1, _, _ = model.embeddings(g.permute_nodes(perm))
+        h0, _ = model.embeddings(g)
+        h1, _ = model.embeddings(g.permute_nodes(perm))
     assert np.max(np.abs(h1.data[perm] - h0.data)) < 1e-12
 
 
@@ -288,7 +324,7 @@ def test_full_gated_layer_gradient_check():
     model = Model(cfg, rng.spawn("m"))
 
     def f(_):
-        h, _, _ = model.embeddings(g, training=False)
+        h, _ = model.embeddings(g, training=False)
         return T.sum_all(T.mul(h, h))
 
     layer = model.layers[0]
@@ -304,7 +340,7 @@ def test_batch_forward_equals_per_graph_concat():
                       k_layers=2, width=4, d_in=3, d_edge=2)
     model = Model(cfg, rng.spawn("m"))
     with T.no_grad():
-        hb, _, _ = model.embeddings(batch(graphs), training=False)
+        hb, _ = model.embeddings(batch(graphs), training=False)
         singles = [model.embeddings(g, training=False)[0].data for g in graphs]
     npt.assert_allclose(hb.data, np.concatenate(singles, axis=0), atol=1e-12)
 
@@ -377,7 +413,7 @@ def test_edge_head_scores_follow_stored_direction():
                       width=4, d_in=3, d_edge=2)
     model = Model(cfg, rng.spawn("m"))
     with T.no_grad():
-        h, _, view = model.embeddings(g)
+        h, view = model.embeddings(g)
         scores = model.head(h, view).data
         # recompute per stored edge: concat(h_src, h_dst) through the MLP
         for ei, (s, d) in enumerate(g.edges):

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import resource
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +10,7 @@ import pytest
 
 from minignn import tensor as T
 from minignn.generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
+from minignn.graph import batch
 from minignn.layers import Model, ModelConfig
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
@@ -234,6 +237,29 @@ def small_run(max_epochs=3, lr=1e-2, seed=1):
     cfg = TrainConfig(lr=lr, max_epochs=max_epochs, batch_size=4, patience=2)
     history, best = train_loop(splits, model, cfg, Rng(seed).spawn("train"))
     return splits, model, history, best
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="tunes glibc's malloc")
+def test_training_step_reuses_the_memory_the_last_step_freed():
+    spec = DatasetSpec(task="node-class", generator="sbm",
+                       params=dict(n_nodes=60, n_communities=2, p_in=0.3,
+                                   p_intra=0.05, feature_noise=0.1),
+                       n_train=16, n_val=1, n_test=1, seed=12)
+    splits = generate_dataset(spec)
+    config = ModelConfig(task="node-class", base="gatedgcn", k_layers=2, width=8,
+                         d_in=2, n_classes=2)
+    model = Model(config, Rng(1).spawn("init"))
+    train_loop(splits, model, TrainConfig(max_epochs=1), Rng(1).spawn("train"))
+    b = batch(splits["train"])
+
+    def step():
+        model.zero_grads()
+        backward(cross_entropy(model.forward(b, training=True), b.node_labels))
+
+    step()  # a step frees what it allocated when it returns
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 100
 
 
 def test_train_loop_reduces_loss():

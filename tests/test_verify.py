@@ -34,7 +34,7 @@ def test_oracle_detects_a_different_model():
     g = graphs_for("gcn", 1)[0]
     ref = naive_forward_oracle(g, build("gcn", True, seed=2))
     with T.no_grad():
-        h, _, _ = build("gcn", True, seed=3).embeddings(g)
+        h, _ = build("gcn", True, seed=3).embeddings(g)
     assert np.max(np.abs(h.data - ref)) > 1e-3
 
 
@@ -76,8 +76,8 @@ def test_nonzero_encoder_breaks_reduction():
     twin.layers[0].fc.weight.data = twin.layers[0].fc.weight.data + 0.3
     g = graphs_for("gatedgcn", 1, seed=400)[0]
     with T.no_grad():
-        hb, _, _ = model.embeddings(g)
-        ht, _, _ = twin.embeddings(g)
+        hb, _ = model.embeddings(g)
+        ht, _ = twin.embeddings(g)
     assert np.max(np.abs(hb.data - ht.data)) > 1e-6
 
 
