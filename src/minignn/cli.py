@@ -18,7 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from .generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
+import numpy as np
+
+from .generators import (ConfigError, DatasetSpec, check_keys, generate_dataset,
+                         load_dataset, make_config, save_dataset)
 from .layers import Model, ModelConfig
 # perfbench/tracing.py wraps finite_diff_check under this module's name too
 from .tensor import NumericsError, finite_diff_check  # noqa: F401
@@ -38,20 +41,6 @@ ABLATION_ROWS = [
 ]
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
-def _fields(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 def load_run_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -60,15 +49,15 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    _check_keys(raw, {"version", "dataset", "model", "train", "seeds", "out"}, "config")
+    unknown = set(raw) - {"version", "dataset", "model", "train", "seeds", "out"}
+    if unknown:
+        raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_VERSION}")
     if "dataset" not in raw:
         raise ConfigError(f"{path}: config has no dataset section")
     for section, cls in (("dataset", DatasetSpec), ("model", ModelConfig), ("train", TrainConfig)):
-        if not isinstance(raw.get(section, {}), dict):
-            raise ConfigError(f"{path}: {section} must be a JSON object")
-        _check_keys(raw.get(section, {}), _fields(cls), section)
+        check_keys(raw.get(section, {}), cls, section)
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or any(
             isinstance(s, bool) or not isinstance(s, int) for s in seeds):
@@ -76,14 +65,6 @@ def load_run_config(path) -> dict:
     if not isinstance(raw.get("out", "."), str):
         raise ConfigError(f"{path}: out must be a path string")
     return raw
-
-
-def _make(cls, section: str, values: dict):
-    """cls(**values), with missing keys reported as a config error."""
-    try:
-        return cls(**values)
-    except TypeError as err:
-        raise ConfigError(f"bad {section} config: {err}") from err
 
 
 def _apply_overrides(raw: dict, args) -> dict:
@@ -112,19 +93,20 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 def _build(raw: dict):
     """The parts of a train or ablate run; both need graphs in every split."""
-    spec = _make(DatasetSpec, "dataset", raw["dataset"])
+    spec = make_config(DatasetSpec, raw["dataset"], "dataset")
     empty = [name for name in ("n_train", "n_val", "n_test") if getattr(spec, name) == 0]
     if empty:
         raise ConfigError(f"dataset {', '.join(empty)} must be >= 1 to train")
-    model_config = _make(ModelConfig, "model", raw["model"])
-    train_config = _make(TrainConfig, "train", raw.get("train", {}))
+    model_config = make_config(ModelConfig, raw["model"], "model")
+    train_config = make_config(TrainConfig, raw.get("train", {}), "train")
     seeds = raw.get("seeds", [0])
     out = Path(raw.get("out", "."))
     return spec, model_config, train_config, seeds, out
 
 
-def _check_feature_widths(config: ModelConfig, splits: dict) -> None:
-    """The model's input widths must equal the widths of the data's features."""
+def _check_data_fits(config: ModelConfig, splits: dict) -> None:
+    """The model's input widths must equal the widths of the data's features,
+    and every class label must lie in [0, n_classes)."""
     for graphs in splits.values():
         for g in graphs:
             if g.node_features.shape[1] != config.d_in:
@@ -134,13 +116,20 @@ def _check_feature_widths(config: ModelConfig, splits: dict) -> None:
                     and g.edge_features.shape[1] != config.d_edge):
                 raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
                                   f"features have width {g.edge_features.shape[1]}")
+            labels = g.node_labels if config.task == "node-class" else g.graph_label
+            if config.task in ("node-class", "graph-class") and labels is not None:
+                labels = np.atleast_1d(labels)
+                bad = labels[(labels < 0) | (labels >= config.n_classes)]
+                if bad.size:
+                    raise ConfigError(f"model n_classes is {config.n_classes}, but the data "
+                                      f"has class label {bad[0]}")
 
 
 # --- subcommands -------------------------------------------------------------
 
 def cmd_gen(args) -> int:
     raw = load_run_config(args.config)
-    spec = _make(DatasetSpec, "dataset", raw["dataset"])
+    spec = make_config(DatasetSpec, raw["dataset"], "dataset")
     splits = generate_dataset(spec)
     save_dataset(args.out, spec, splits)
     sizes = {name: len(graphs) for name, graphs in splits.items()}
@@ -153,7 +142,7 @@ def cmd_train(args) -> int:
     spec, model_config, train_config, seeds, out = _build(raw)
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
-    _check_feature_widths(model_config, splits)
+    _check_data_fits(model_config, splits)
     summary = run_seeds(splits, model_config, train_config, seeds)
     for seed in seeds:
         write_metrics_csv(out / f"metrics_seed{seed}.csv", summary["histories"][seed])
@@ -170,7 +159,7 @@ def cmd_eval(args) -> int:
     spec, splits = load_dataset(args.data)
     if args.split not in splits:
         raise ConfigError(f"split {args.split!r} not in dataset (has {sorted(splits)})")
-    _check_feature_widths(model.config, splits)
+    _check_data_fits(model.config, splits)
     loss, metric = evaluate(model, splits[args.split])
     print(f"split={args.split} loss={loss:.6f} metric={metric:.6f}")
     return 0
@@ -193,11 +182,10 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablation rows are defined for the gatedgcn base")
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
-    _check_feature_widths(model_config, splits)
+    _check_data_fits(model_config, splits)
     rows = []
     for name, terms in ABLATION_ROWS:
-        config = ModelConfig(**{**model_config.to_dict(), "nlmi": True,
-                                "terms": terms})
+        config = dataclasses.replace(model_config, nlmi=True, terms=terms)
         summary = run_seeds(splits, config, train_config, seeds)
         rows.append((name, summary["metric"], summary["mean"], summary["std"]))
         print(f"{name:14s} {summary['metric']}={summary['mean']:.4f} "
@@ -257,7 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericsError as err:

@@ -12,7 +12,7 @@ import inspect
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,10 +28,32 @@ class DatasetError(ValueError):
     """Malformed or incompatible dataset file."""
 
 
+class ConfigError(ValueError):
+    """A config object that does not fit the dataclass it builds."""
+
+
 def check_int(what: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer (not a bool) >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def check_keys(obj, cls, context: str) -> None:
+    """Raise ConfigError unless obj is a JSON object whose keys are fields of cls."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
+
+
+def make_config(cls, obj, context: str):
+    """cls(**obj) after check_keys, with a missing key reported as a ConfigError."""
+    check_keys(obj, cls, context)
+    try:
+        return cls(**obj)
+    except TypeError as err:
+        raise ConfigError(f"bad {context} config: {err}") from err
 
 
 def _both_directions(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -388,12 +410,15 @@ def load_dataset(path) -> tuple[DatasetSpec, dict[str, list[Graph]]]:
             f"dataset format version {payload['version']} != "
             f"supported {DATASET_FORMAT_VERSION}"
         )
+    splits = payload.get("splits")
+    if not isinstance(splits, dict) or not all(isinstance(s, list) for s in splits.values()):
+        raise DatasetError(f"malformed dataset file {path}: splits must map names to lists")
     try:
-        spec = DatasetSpec(**payload["spec"])
-        splits = {
-            name: [_graph_from_obj(obj, spec.task) for obj in graphs]
-            for name, graphs in payload["splits"].items()
-        }
-    except (KeyError, TypeError) as err:
+        spec = make_config(DatasetSpec, payload.get("spec"), "dataset spec")
+    except ValueError as err:
         raise DatasetError(f"malformed dataset file {path}: {err}") from err
+    splits = {
+        name: [_graph_from_obj(obj, spec.task) for obj in graphs]
+        for name, graphs in splits.items()
+    }
     return spec, splits

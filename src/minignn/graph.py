@@ -3,7 +3,7 @@
 Edges are directed (src, dst) pairs; messages flow along the edge into
 dst, so the neighbourhood of u is the set of sources of its incoming
 edges. Undirected graphs store both directions. Self-loops are never
-added implicitly; ``add_self_loops`` is the explicit transform.
+added implicitly.
 """
 
 from __future__ import annotations
@@ -76,28 +76,6 @@ class Graph:
         )
 
 
-def add_self_loops(g: Graph, edge_fill: float = 0.0) -> Graph:
-    """Append one (u, u) edge per node; new edge features are edge_fill."""
-    loops = np.stack([np.arange(g.num_nodes)] * 2, axis=1)
-    edges = np.concatenate([g.edges, loops], axis=0)
-    edge_features = g.edge_features
-    if edge_features is not None:
-        fill = np.full((g.num_nodes, edge_features.shape[1]), edge_fill)
-        edge_features = np.concatenate([edge_features, fill], axis=0)
-    edge_labels = g.edge_labels
-    if edge_labels is not None:
-        edge_labels = np.concatenate([edge_labels, np.zeros(g.num_nodes, dtype=np.int64)])
-    return Graph(
-        num_nodes=g.num_nodes,
-        edges=edges,
-        node_features=g.node_features.copy(),
-        edge_features=edge_features,
-        node_labels=None if g.node_labels is None else g.node_labels.copy(),
-        graph_label=g.graph_label,
-        edge_labels=edge_labels,
-    )
-
-
 @dataclass
 class GraphBatch:
     """Block-diagonal union of graphs; no edge crosses graph boundaries."""
@@ -107,8 +85,6 @@ class GraphBatch:
     edges: np.ndarray
     node_features: np.ndarray
     graph_id: np.ndarray  # (num_nodes,) graph index per node
-    node_offsets: np.ndarray  # (num_graphs + 1,)
-    edge_offsets: np.ndarray  # (num_graphs + 1,)
     edge_features: np.ndarray | None = None
     node_labels: np.ndarray | None = None
     graph_labels: np.ndarray | None = None
@@ -123,7 +99,6 @@ def batch(graphs: list[Graph]) -> GraphBatch:
     if not graphs:
         raise ValueError("cannot batch an empty list of graphs")
     node_offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    edge_offsets = np.cumsum([0] + [g.num_edges for g in graphs])
     edges = np.concatenate(
         [g.edges + off for g, off in zip(graphs, node_offsets[:-1])], axis=0
     )
@@ -150,32 +125,9 @@ def batch(graphs: list[Graph]) -> GraphBatch:
         edges=edges,
         node_features=x,
         graph_id=graph_id,
-        node_offsets=node_offsets,
-        edge_offsets=edge_offsets,
         edge_features=edge_features,
         node_labels=node_labels,
         graph_labels=graph_labels,
         edge_labels=edge_labels,
     )
 
-
-def unbatch(b: GraphBatch) -> list[Graph]:
-    graphs = []
-    for i in range(b.num_graphs):
-        n0, n1 = b.node_offsets[i], b.node_offsets[i + 1]
-        e0, e1 = b.edge_offsets[i], b.edge_offsets[i + 1]
-        label = None
-        if b.graph_labels is not None:
-            label = b.graph_labels[i].item()
-        graphs.append(
-            Graph(
-                num_nodes=int(n1 - n0),
-                edges=b.edges[e0:e1] - n0,
-                node_features=b.node_features[n0:n1].copy(),
-                edge_features=None if b.edge_features is None else b.edge_features[e0:e1].copy(),
-                node_labels=None if b.node_labels is None else b.node_labels[n0:n1].copy(),
-                graph_label=label,
-                edge_labels=None if b.edge_labels is None else b.edge_labels[e0:e1].copy(),
-            )
-        )
-    return graphs

@@ -23,12 +23,12 @@ runs on node rows and is gathered onto edges once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
-from .generators import TASKS, check_int
+from .generators import TASKS, check_int, make_config
 from .graph import Graph, GraphBatch
 from .rng import Rng
 from . import tensor as T
@@ -74,20 +74,16 @@ class GraphView:
 class Linear:
     """Affine map on row vectors; init uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
 
-    def __init__(self, d_in: int, d_out: int, rng: Rng, bias: bool = True):
+    def __init__(self, d_in: int, d_out: int, rng: Rng):
         bound = 1.0 / np.sqrt(d_in)
         self.weight = Tensor(rng.uniforms((d_in, d_out), -bound, bound), requires_grad=True)
-        self.bias = Tensor(rng.uniforms((d_out,), -bound, bound), requires_grad=True) if bias else None
+        self.bias = Tensor(rng.uniforms((d_out,), -bound, bound), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        return T.add(y, self.bias) if self.bias is not None else y
+        return T.add(T.matmul(x, self.weight), self.bias)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.weight": self.weight}
-        if self.bias is not None:
-            out[f"{prefix}.bias"] = self.bias
-        return out
+        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 class BatchNorm:
@@ -311,18 +307,6 @@ class ModelConfig:
             raise ValueError(f"terms {list(self.terms)} with nlmi={self.nlmi} select no "
                              "node-update term")
 
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["terms"] = list(self.terms)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        try:
-            return cls(**d)  # __post_init__ makes terms a tuple
-        except TypeError as err:  # unknown or missing keys
-            raise ValueError(f"bad model config: {err}") from err
-
 
 class Model:
     """Input encoders, a stack of message-passing layers, and a readout head."""
@@ -395,7 +379,7 @@ class Model:
 
     def state(self) -> dict:
         state = {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "params": {k: v.data.tolist() for k, v in self.params().items()},
             "stats": {
                 f"layers.{k}.{name}": arr.tolist()
@@ -430,17 +414,12 @@ class Model:
         for owner, name, arr in loads:
             setattr(owner, name, arr)
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.state(), fh)
-
     @classmethod
     def load(cls, path) -> "Model":
         with open(path) as fh:
             state = json.load(fh)
-        if not isinstance(state, dict) or not isinstance(state.get("config"), dict):
-            raise ValueError(f"checkpoint {path} has no 'config' object")
-        config = ModelConfig.from_dict(state["config"])
-        model = cls(config, Rng(0))
+        if not isinstance(state, dict):
+            raise ValueError(f"checkpoint {path} is not a JSON object")
+        model = cls(make_config(ModelConfig, state.get("config"), "checkpoint config"), Rng(0))
         model.load_state(state)
         return model

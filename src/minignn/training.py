@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,9 +180,6 @@ class TrainConfig:
         if not isinstance(self.weight_classes, bool):
             raise ValueError(f"train weight_classes must be true or false, "
                              f"got {self.weight_classes!r}")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass

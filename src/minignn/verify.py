@@ -13,8 +13,11 @@ random graph.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from .generators import _both_directions
 from .graph import Graph
 from .layers import (BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, GraphView, Linear, Model,
                      ModelConfig)
@@ -38,13 +41,12 @@ def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
                 pairs.append((u, v))
     if not pairs:
         pairs = [(0, 1)]
-    directed = sorted(set(pairs) | {(v, u) for u, v in pairs})
-    edges = np.array(directed, dtype=np.int64)
+    edges = _both_directions(pairs)
     return Graph(
         num_nodes=n,
         edges=edges,
         node_features=rng.normals((n, 3)),
-        edge_features=rng.normals((len(directed), 2)) if with_edge_features else None,
+        edge_features=rng.normals((len(edges), 2)) if with_edge_features else None,
     )
 
 
@@ -88,10 +90,7 @@ def _neighbours(g: Graph) -> list[list[tuple[int, int]]]:
 
 
 def _affine(x: np.ndarray, lin) -> np.ndarray:
-    y = x @ lin.weight.data
-    if lin.bias is not None:
-        y = y + lin.bias.data
-    return y
+    return x @ lin.weight.data + lin.bias.data
 
 
 def _gcn_layer_naive(h: np.ndarray, g: Graph, layer: GcnLayer) -> np.ndarray:
@@ -239,8 +238,7 @@ def make_zero_encoder_twin(base: Model) -> Model:
     parameters its output must match the base model exactly.
     """
     config = base.config
-    twin_config = type(config)(**{**config.to_dict(), "nlmi": True,
-                                  "terms": (config.terms[0], config.terms[1], True)})
+    twin_config = replace(config, nlmi=True, terms=(config.terms[0], config.terms[1], True))
     twin = Model(twin_config, Rng(0))
     bp = base.params()
     for name, p in twin.params().items():

@@ -200,6 +200,70 @@ def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_checkpoint_config_with_unknown_key_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+    ckpt["config"]["bogus"] = 1
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+DENSITY_CONFIG = {
+    "version": 1,
+    "dataset": {"task": "graph-class", "generator": "density",
+                "params": {"n_nodes": 6, "p_sparse": 0.1, "p_dense": 0.6},
+                "n_train": 4, "n_val": 2, "n_test": 2, "seed": 7},
+    "model": {"task": "graph-class", "base": "gcn", "k_layers": 1, "width": 4,
+              "n_classes": 2},
+    "train": {"max_epochs": 1},
+    "seeds": [1],
+}
+
+
+@pytest.mark.parametrize("command,config,label", [
+    ("train", "sbm-3-communities", None),
+    ("eval", "sbm", 5),
+    ("eval", "sbm", -1),
+    ("eval", "density", 2),
+    ("eval", "density", -1),
+])
+def test_class_label_outside_n_classes_exits_1(tmp_path, capsys, command, config, label):
+    cfg = json.loads(json.dumps(DENSITY_CONFIG if config == "density" else BASE_CONFIG))
+    if config == "sbm-3-communities":  # labels 0..2 for a 2-class model
+        cfg["dataset"]["params"]["n_communities"] = 3
+        cfg["model"]["d_in"] = 3
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    argv = ["train", "--config", path, "--out", str(out), "--seed", "1"]
+    if command == "eval":
+        data = tmp_path / "data.json"
+        assert main(argv) == 0
+        assert main(["gen", "--config", path, "--out", str(data)]) == 0
+        payload = json.loads(data.read_text())
+        first = payload["splits"]["test"][0]
+        if config == "density":
+            first["y"] = label
+        else:
+            first["y"][0] = label
+        data.write_text(json.dumps(payload))
+        argv = ["eval", "--checkpoint", str(out / "checkpoint_seed1.json"),
+                "--data", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "n_classes" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("key,value", [
     ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),
     ("width", "16"), ("n_classes", 0), ("nlmi", "off"), ("terms", "msg"),
@@ -233,6 +297,8 @@ DELETE = "<delete>"
     ("train", "dataset.n_val", 0, "n_val"),
     ("ablate", "dataset.n_test", 0, "n_test"),
     ("gen", "dataset.n_train", "3", "n_train"),
+    ("train", "model", "gcn", "model must be a JSON object"),
+    ("train", "train", 5, "train must be a JSON object"),
 ])
 def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

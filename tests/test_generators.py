@@ -305,6 +305,22 @@ def test_load_version_mismatch(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("splits", [1], "splits"),
+    ("splits", {"train": 5}, "splits"),
+    ("spec", [SBM_SPEC], "spec must be a JSON object"),
+    ("spec", dict(SBM_SPEC, bogus=1), "bogus"),
+])
+def test_load_malformed_structure(tmp_path, key, value, message):
+    payload = {"version": 1, "spec": SBM_SPEC, "splits": {"train": []}}
+    payload[key] = value
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DatasetError, match=message) as err:
+        load_dataset(path)
+    assert "\n" not in str(err.value)
+
+
 def test_frozen_field_names(tmp_path):
     spec = DatasetSpec(**SBM_SPEC)
     path = tmp_path / "data.json"

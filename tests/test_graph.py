@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minignn.graph import Graph, add_self_loops, batch, unbatch
+from minignn.graph import Graph, batch
 from minignn.rng import Rng
 
 
@@ -12,18 +12,28 @@ def make_graph(num_nodes, edges, d=2, seed=0, **kwargs):
                  node_features=rng.normals((num_nodes, d)), **kwargs)
 
 
-def graphs_equal(a: Graph, b: Graph) -> bool:
-    if a.num_nodes != b.num_nodes or not np.array_equal(a.edges, b.edges):
-        return False
-    if not np.array_equal(a.node_features, b.node_features):
-        return False
-    for attr in ("edge_features", "node_labels", "edge_labels"):
-        va, vb = getattr(a, attr), getattr(b, attr)
-        if (va is None) != (vb is None):
-            return False
-        if va is not None and not np.array_equal(va, vb):
-            return False
-    return a.graph_label == b.graph_label
+def assert_batch_holds(b, graphs):
+    """Each graph's rows are a slice of the batch, its edges shifted by its node offset."""
+    assert b.num_graphs == len(graphs)
+    assert b.num_nodes == sum(g.num_nodes for g in graphs)
+    assert b.num_edges == sum(g.num_edges for g in graphs)
+    n0 = e0 = 0
+    for i, g in enumerate(graphs):
+        n1, e1 = n0 + g.num_nodes, e0 + g.num_edges
+        npt.assert_array_equal(b.edges[e0:e1] - n0, g.edges)
+        npt.assert_array_equal(b.node_features[n0:n1], g.node_features)
+        npt.assert_array_equal(b.graph_id[n0:n1], np.full(g.num_nodes, i))
+        for attr, lo, hi in (("node_labels", n0, n1), ("edge_features", e0, e1),
+                             ("edge_labels", e0, e1)):
+            if getattr(g, attr) is None:
+                assert getattr(b, attr) is None
+            else:
+                npt.assert_array_equal(getattr(b, attr)[lo:hi], getattr(g, attr))
+        if g.graph_label is None:
+            assert b.graph_labels is None
+        else:
+            assert b.graph_labels[i] == g.graph_label
+        n0, e0 = n1, e1
 
 
 def test_edge_endpoint_validation():
@@ -38,8 +48,7 @@ def test_feature_row_validation():
 
 def test_batch_single_roundtrip():
     g = make_graph(3, [(0, 1), (1, 2)], node_labels=np.array([0, 1, 0]))
-    out = unbatch(batch([g]))
-    assert len(out) == 1 and graphs_equal(out[0], g)
+    assert_batch_holds(batch([g]), [g])
 
 
 def test_batch_offsets():
@@ -61,10 +70,11 @@ def test_batch_roundtrip_many():
         if not edges:
             edges = [(0, 1)]
         graphs.append(make_graph(n, edges, seed=i,
+                                 edge_features=rng.normals((len(edges), 3)),
                                  node_labels=np.arange(n) % 2,
-                                 edge_labels=np.zeros(len(edges), dtype=np.int64)))
-    out = unbatch(batch(graphs))
-    assert all(graphs_equal(a, b) for a, b in zip(graphs, out))
+                                 edge_labels=np.arange(len(edges)) % 2,
+                                 graph_label=i % 3))
+    assert_batch_holds(batch(graphs), graphs)
 
 
 def test_batch_block_diagonal():
@@ -80,15 +90,6 @@ def test_batch_rejects_mixed_fields():
     g2 = make_graph(2, [(0, 1)])
     with pytest.raises(ValueError, match="mixed presence"):
         batch([g1, g2])
-
-
-def test_add_self_loops():
-    g = make_graph(3, [(0, 1)], edge_features=np.ones((1, 2)))
-    g2 = add_self_loops(g)
-    assert g2.num_edges == 4
-    npt.assert_array_equal(g2.edges[1:], [[0, 0], [1, 1], [2, 2]])
-    npt.assert_array_equal(g2.edge_features[1:], np.zeros((3, 2)))
-    assert g.num_edges == 1  # original untouched
 
 
 def test_permute_nodes_roundtrip():

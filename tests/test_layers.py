@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -436,7 +438,7 @@ def test_checkpoint_roundtrip(tmp_path):
     with T.no_grad():
         model.embeddings(g, training=True)
     path = tmp_path / "ckpt.json"
-    model.save(path)
+    path.write_text(json.dumps(model.state()))  # as minignn train writes it
     loaded = Model.load(path)
     with T.no_grad():
         npt.assert_array_equal(model.forward(g).data, loaded.forward(g).data)
