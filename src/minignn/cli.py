@@ -18,14 +18,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .generators import (ConfigError, DatasetSpec, check_keys, generate_dataset,
                          load_dataset, make_config, save_dataset)
 from .layers import Model, ModelConfig
 # perfbench/tracing.py wraps finite_diff_check under this module's name too
 from .tensor import NumericsError, finite_diff_check  # noqa: F401
-from .training import (TrainConfig, evaluate, run_seeds, write_metrics_csv,
+from .training import (TrainConfig, evaluate, labels_of, run_seeds, write_metrics_csv,
                        write_summary_json)
 from .verify import VARIANTS, gradcheck_variant
 
@@ -116,13 +114,12 @@ def _check_data_fits(config: ModelConfig, splits: dict) -> None:
                     and g.edge_features.shape[1] != config.d_edge):
                 raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
                                   f"features have width {g.edge_features.shape[1]}")
-            labels = g.node_labels if config.task == "node-class" else g.graph_label
-            if config.task in ("node-class", "graph-class") and labels is not None:
-                labels = np.atleast_1d(labels)
-                bad = labels[(labels < 0) | (labels >= config.n_classes)]
-                if bad.size:
-                    raise ConfigError(f"model n_classes is {config.n_classes}, but the data "
-                                      f"has class label {bad[0]}")
+        if graphs and config.task in ("node-class", "graph-class"):
+            labels = labels_of(graphs, config.task)
+            bad = labels[(labels < 0) | (labels >= config.n_classes)]
+            if bad.size:
+                raise ConfigError(f"model n_classes is {config.n_classes}, but the data "
+                                  f"has class label {bad[0]}")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -157,6 +154,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
     spec, splits = load_dataset(args.data)
+    if spec.task != model.config.task:
+        raise ConfigError(f"the checkpoint's model is for task {model.config.task!r}, "
+                          f"but {args.data} holds {spec.task!r} data")
     if args.split not in splits:
         raise ConfigError(f"split {args.split!r} not in dataset (has {sorted(splits)})")
     _check_data_fits(model.config, splits)

@@ -4,6 +4,10 @@ Edges are directed (src, dst) pairs; messages flow along the edge into
 dst, so the neighbourhood of u is the set of sources of its incoming
 edges. Undirected graphs store both directions. Self-loops are never
 added implicitly.
+
+A Graph carries its labels; a GraphBatch carries only structure and
+features. ``training.labels_of`` reads a task's labels from the graphs
+themselves, in the order they were batched.
 """
 
 from __future__ import annotations
@@ -46,8 +50,12 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if self.edge_features is not None and self.edge_features.shape[0] != self.num_edges:
             raise ValueError("edge_features row count != num_edges")
-        if self.edge_labels is not None and self.edge_labels.shape[0] != self.num_edges:
-            raise ValueError("edge_labels length != num_edges")
+        if self.node_labels is not None and self.node_labels.shape != (self.num_nodes,):
+            raise ValueError(f"node_labels has shape {self.node_labels.shape} "
+                             f"for {self.num_nodes} nodes")
+        if self.edge_labels is not None and self.edge_labels.shape != (self.num_edges,):
+            raise ValueError(f"edge_labels has shape {self.edge_labels.shape} "
+                             f"for {self.num_edges} edges")
 
     @property
     def num_edges(self) -> int:
@@ -86,9 +94,6 @@ class GraphBatch:
     node_features: np.ndarray
     graph_id: np.ndarray  # (num_nodes,) graph index per node
     edge_features: np.ndarray | None = None
-    node_labels: np.ndarray | None = None
-    graph_labels: np.ndarray | None = None
-    edge_labels: np.ndarray | None = None
 
     @property
     def num_edges(self) -> int:
@@ -107,27 +112,14 @@ def batch(graphs: list[Graph]) -> GraphBatch:
         [np.full(g.num_nodes, i, dtype=np.int64) for i, g in enumerate(graphs)]
     )
 
-    def cat_optional(parts):
-        if all(p is None for p in parts):
-            return None
-        if any(p is None for p in parts):
-            raise ValueError("cannot batch graphs with mixed presence of a field")
-        return np.concatenate(parts, axis=0)
-
-    edge_features = cat_optional([g.edge_features for g in graphs])
-    node_labels = cat_optional([g.node_labels for g in graphs])
-    edge_labels = cat_optional([g.edge_labels for g in graphs])
-    has_gl = all(g.graph_label is not None for g in graphs)
-    graph_labels = np.array([g.graph_label for g in graphs]) if has_gl else None
+    feats = [g.edge_features for g in graphs]
+    if len({f is None for f in feats}) > 1:
+        raise ValueError("cannot batch graphs with mixed presence of edge features")
     return GraphBatch(
         num_graphs=len(graphs),
         num_nodes=int(node_offsets[-1]),
         edges=edges,
         node_features=x,
         graph_id=graph_id,
-        edge_features=edge_features,
-        node_labels=node_labels,
-        graph_labels=graph_labels,
-        edge_labels=edge_labels,
+        edge_features=None if feats[0] is None else np.concatenate(feats, axis=0),
     )
-

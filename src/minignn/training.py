@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import check_int
-from .graph import Graph, GraphBatch, batch as make_batch
+from .graph import Graph, batch as make_batch
 from .layers import Model, ModelConfig
 from .rng import Rng
 from . import tensor as T
@@ -200,33 +200,28 @@ _METRIC_NAMES = {
 }
 
 
-def _batch_labels(b: GraphBatch, task: str) -> np.ndarray:
-    if task == "node-class":
-        return b.node_labels
-    if task == "graph-class":
-        return b.graph_labels.astype(np.int64)
-    if task == "edge-pred":
-        return b.edge_labels
-    return b.graph_labels.astype(np.float64)
+def labels_of(graphs: list[Graph], task: str) -> np.ndarray:
+    """The task's labels for ``graphs``, concatenated in graph order."""
+    field = {"node-class": "node_labels", "edge-pred": "edge_labels"}.get(task, "graph_label")
+    parts = [getattr(g, field) for g in graphs]
+    if any(p is None for p in parts):
+        raise ValueError(f"a graph has no {task} labels ({field})")
+    if field != "graph_label":
+        return np.concatenate(parts)
+    return np.array(parts, dtype=np.int64 if task == "graph-class" else np.float64)
 
 
 def _loss_weights(graphs: list[Graph], task: str, model_config: ModelConfig,
                   enabled: bool):
     """Class weighting derived from the training split."""
-    if not enabled:
+    if not enabled or task == "graph-reg":
         return None, 1.0
-    if task == "node-class":
-        all_labels = np.concatenate([g.node_labels for g in graphs])
-        return inverse_frequency_weights(all_labels, model_config.n_classes), 1.0
-    if task == "graph-class":
-        all_labels = np.array([g.graph_label for g in graphs], dtype=np.int64)
-        return inverse_frequency_weights(all_labels, model_config.n_classes), 1.0
+    labels = labels_of(graphs, task)
     if task == "edge-pred":
-        all_labels = np.concatenate([g.edge_labels for g in graphs])
-        pos = max(int(all_labels.sum()), 1)
-        neg = max(int(all_labels.size - pos), 1)
+        pos = max(int(labels.sum()), 1)
+        neg = max(int(labels.size - pos), 1)
         return None, neg / pos
-    return None, 1.0
+    return inverse_frequency_weights(labels, model_config.n_classes), 1.0
 
 
 def compute_loss(pred: Tensor, labels: np.ndarray, task: str,
@@ -249,23 +244,19 @@ def compute_metric(pred: Tensor, labels: np.ndarray, task: str) -> float:
 
 def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
              class_weights=None, pos_weight: float = 1.0) -> tuple[float, float]:
-    """(mean loss, task metric) over a split, eval mode."""
+    """(loss, task metric) over a split, eval mode.
+
+    The model runs one batch at a time; the loss is then taken once over the
+    whole split's predictions, so it does not depend on ``batch_size``.
+    """
     task = model.config.task
-    losses, preds, labels = [], [], []
-    for i in range(0, len(graphs), batch_size):
-        b = make_batch(graphs[i:i + batch_size])
-        with T.no_grad():
-            pred = model.forward(b, training=False)
-        lab = _batch_labels(b, task)
-        losses.append((float(compute_loss(pred, lab, task, class_weights, pos_weight).data),
-                       lab.shape[0] if hasattr(lab, "shape") else len(lab)))
-        preds.append(pred.data)
-        labels.append(np.asarray(lab))
-    pred_all = Tensor(np.concatenate(preds, axis=0))
-    lab_all = np.concatenate(labels)
-    total = sum(n for _, n in losses)
-    mean_loss = sum(l * n for l, n in losses) / total
-    return mean_loss, compute_metric(pred_all, lab_all, task)
+    with T.no_grad():
+        preds = [model.forward(make_batch(graphs[i:i + batch_size]), training=False).data
+                 for i in range(0, len(graphs), batch_size)]
+        pred = Tensor(np.concatenate(preds, axis=0))
+        labels = labels_of(graphs, task)
+        loss = compute_loss(pred, labels, task, class_weights, pos_weight)
+    return float(loss.data), compute_metric(pred, labels, task)
 
 
 # mallopt parameter numbers from glibc's malloc.h
@@ -322,7 +313,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
             b = make_batch(chunk)
             model.zero_grads()
             pred = model.forward(b, training=True)
-            loss = compute_loss(pred, _batch_labels(b, task), task,
+            loss = compute_loss(pred, labels_of(chunk, task), task,
                                 class_weights, pos_weight)
             if not np.isfinite(loss.data):
                 raise NumericsError(
@@ -359,16 +350,12 @@ def run_seeds(splits: dict[str, list[Graph]], model_config: ModelConfig,
     values = []
     histories = {}
     states = {}
-    class_weights, pos_weight = _loss_weights(
-        splits["train"], model_config.task, model_config, train_config.weight_classes
-    )
     for seed in seeds:
         model = Model(model_config, Rng(seed).spawn("init"))
         history, best_state = train_loop(splits, model, train_config,
                                          Rng(seed).spawn("train"))
         model.load_state(best_state)
-        _, test_metric = evaluate(model, splits["test"], train_config.batch_size,
-                                  class_weights, pos_weight)
+        _, test_metric = evaluate(model, splits["test"], train_config.batch_size)
         values.append(test_metric)
         histories[seed] = history
         states[seed] = best_state

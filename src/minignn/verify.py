@@ -93,6 +93,19 @@ def _affine(x: np.ndarray, lin) -> np.ndarray:
     return x @ lin.weight.data + lin.bias.data
 
 
+def _naive_encoding(msgs: list[np.ndarray], fc: Linear) -> np.ndarray:
+    """Sum over neighbours i of fc(concat(m_i, rest_i)), with each rest sum
+    rest_i = sum of m_j over j != i built by a literal loop."""
+    enc = np.zeros_like(fc.bias.data)
+    for i in range(len(msgs)):
+        rest = np.zeros_like(enc)
+        for j in range(len(msgs)):
+            if j != i:
+                rest = rest + msgs[j]
+        enc = enc + _affine(np.concatenate([msgs[i], rest]).reshape(1, -1), fc).reshape(-1)
+    return enc
+
+
 def _gcn_layer_naive(h: np.ndarray, g: Graph, layer: GcnLayer) -> np.ndarray:
     inc = _neighbours(g)
     W = layer.W.data
@@ -105,19 +118,9 @@ def _gcn_layer_naive(h: np.ndarray, g: Graph, layer: GcnLayer) -> np.ndarray:
         total = np.zeros(h.shape[1])
         for m in msgs:
             total = total + m
-        pre = total
         if layer.encode_interactions:
-            enc = np.zeros(h.shape[1])
-            for i in range(len(nbrs)):
-                rest = np.zeros(h.shape[1])
-                for j in range(len(nbrs)):
-                    if j != i:
-                        rest = rest + msgs[j]
-                enc = enc + _affine(
-                    np.concatenate([msgs[i], rest]).reshape(1, -1), layer.fc
-                ).reshape(-1)
-            pre = pre + enc
-        out[u] = pre
+            total = total + _naive_encoding(msgs, layer.fc)
+        out[u] = total
     return np.maximum(out, 0.0)
 
 
@@ -149,14 +152,7 @@ def _gated_layer_naive(h: np.ndarray, e: np.ndarray, g: Graph,
         if use_msg:
             acc = acc + total
         if use_enc:
-            for i in range(len(msgs)):
-                rest = np.zeros(d)
-                for j in range(len(msgs)):
-                    if j != i:
-                        rest = rest + msgs[j]
-                acc = acc + _affine(
-                    np.concatenate([msgs[i], rest]).reshape(1, -1), layer.fc
-                ).reshape(-1)
+            acc = acc + _naive_encoding(msgs, layer.fc)
         pre[u] = acc
 
     bn = layer.bn

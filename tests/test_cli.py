@@ -264,6 +264,66 @@ def test_class_label_outside_n_classes_exits_1(tmp_path, capsys, command, config
     assert len(err.strip().splitlines()) == 1
 
 
+def one_epoch_config(task, generator, params):
+    """A 1-epoch gcn run on a generator whose node features have width 1."""
+    return {
+        "version": 1,
+        "dataset": {"task": task, "generator": generator, "params": params,
+                    "n_train": 2, "n_val": 1, "n_test": 1, "seed": 7},
+        "model": {"task": task, "base": "gcn", "k_layers": 1, "width": 4, "d_in": 1,
+                  "n_classes": 2},
+        "train": {"max_epochs": 1},
+        "seeds": [1],
+    }
+
+
+PATTERN = ("node-class", "pattern", {"n_base": 8, "pattern_size": 3})
+TRIANGLES = ("graph-reg", "triangles", {"n_min": 4, "n_max": 7})
+
+
+@pytest.mark.parametrize("model_data,eval_data", [(PATTERN, TRIANGLES), (TRIANGLES, PATTERN)])
+def test_eval_on_data_of_another_task_exits_1(tmp_path, capsys, model_data, eval_data):
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    model_cfg = write_config(tmp_path, one_epoch_config(*model_data), "model.json")
+    data_cfg = write_config(tmp_path, one_epoch_config(*eval_data), "data_config.json")
+    assert main(["train", "--config", model_cfg, "--out", str(out)]) == 0
+    assert main(["gen", "--config", data_cfg, "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_seed1.json"),
+                 "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert model_data[0] in err and eval_data[0] in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("task,mutate", [
+    ("node-class", lambda y: y[:-1]),
+    ("edge-pred", lambda y: 3),
+], ids=["short-node-labels", "scalar-edge-labels"])
+def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task, mutate):
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    if task == "edge-pred":
+        cfg["dataset"].update(task=task, generator="tsp", params={"n_cities": 5, "k_nn": 4})
+        cfg["model"] = {"task": task, "base": "gatedgcn", "k_layers": 1, "width": 4,
+                        "d_in": 2, "d_edge": 1}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", path, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", path, "--out", str(data)]) == 0
+    payload = json.loads(data.read_text())
+    first = payload["splits"]["test"][0]
+    first["y"] = mutate(first["y"])
+    data.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_seed1.json"),
+                 "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "labels has shape" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("key,value", [
     ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),
     ("width", "16"), ("n_classes", 0), ("nlmi", "off"), ("terms", "msg"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -330,3 +331,30 @@ def test_frozen_field_names(tmp_path):
     assert set(payload["splits"]) == {"train", "val", "test"}
     first = payload["splits"]["train"][0]
     assert set(first) == {"n", "edges", "x", "y"}
+
+
+# sha256 of the saved file for one small spec per generator. They pin the
+# generators' rng stream: a faster draw path must reproduce these bytes.
+PINNED_DATASETS = {
+    "sbm": ("node-class", dict(n_nodes=12, n_communities=3, p_in=0.6, p_intra=0.1,
+                               feature_noise=0.2),
+            "33ab6b00760ad848f7c0754b50fbd511f6e0b8a4cf7c2aaf997249fb2e349b3f"),
+    "pattern": ("node-class", dict(n_base=10, pattern_size=4),
+                "1ff629f80e53235d60be6bd5e424488cb572c76a692ccab3e5b75a568c534a87"),
+    "tsp": ("edge-pred", dict(n_cities=6, k_nn=4),
+            "e3dd6f86b9f1c489948ff58b3e9626811fbfd6b3467b666023c8c5ce274dfcbe"),
+    "triangles": ("graph-reg", dict(n_min=4, n_max=9),
+                  "13cebffef0904dcec6f2b1c9147e1f539a80263f104989b1b443d0c952acdfa9"),
+    "density": ("graph-class", dict(n_nodes=8, p_sparse=0.1, p_dense=0.6),
+                "1fe9e2dec0ebb0bf6c8527316a54a04d89f2fb3394a2f3c918beda288adf82f4"),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(PINNED_DATASETS))
+def test_saved_dataset_bytes_are_pinned(tmp_path, generator):
+    task, params, digest = PINNED_DATASETS[generator]
+    spec = DatasetSpec(task=task, generator=generator, params=params,
+                       n_train=2, n_val=1, n_test=1, seed=21)
+    path = tmp_path / "data.json"
+    save_dataset(path, spec, generate_dataset(spec))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -4,6 +4,7 @@ import pytest
 
 from minignn.graph import Graph, batch
 from minignn.rng import Rng
+from minignn.training import labels_of
 
 
 def make_graph(num_nodes, edges, d=2, seed=0, **kwargs):
@@ -23,16 +24,17 @@ def assert_batch_holds(b, graphs):
         npt.assert_array_equal(b.edges[e0:e1] - n0, g.edges)
         npt.assert_array_equal(b.node_features[n0:n1], g.node_features)
         npt.assert_array_equal(b.graph_id[n0:n1], np.full(g.num_nodes, i))
-        for attr, lo, hi in (("node_labels", n0, n1), ("edge_features", e0, e1),
-                             ("edge_labels", e0, e1)):
-            if getattr(g, attr) is None:
-                assert getattr(b, attr) is None
-            else:
-                npt.assert_array_equal(getattr(b, attr)[lo:hi], getattr(g, attr))
-        if g.graph_label is None:
-            assert b.graph_labels is None
+        if g.edge_features is None:
+            assert b.edge_features is None
         else:
-            assert b.graph_labels[i] == g.graph_label
+            npt.assert_array_equal(b.edge_features[e0:e1], g.edge_features)
+        # labels stay on the graphs; labels_of lines them up with the batch's rows
+        for attr, task, lo, hi in (("node_labels", "node-class", n0, n1),
+                                   ("edge_labels", "edge-pred", e0, e1)):
+            if getattr(g, attr) is not None:
+                npt.assert_array_equal(labels_of(graphs, task)[lo:hi], getattr(g, attr))
+        if g.graph_label is not None:
+            assert labels_of(graphs, "graph-class")[i] == g.graph_label
         n0, e0 = n1, e1
 
 

@@ -14,9 +14,9 @@ from minignn.graph import batch
 from minignn.layers import Model, ModelConfig
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
-from minignn.training import (Adam, PlateauScheduler, TrainConfig, accuracy,
+from minignn.training import (Adam, PlateauScheduler, TrainConfig, _loss_weights, accuracy,
                               binary_ce, cross_entropy, evaluate, f1_positive,
-                              inverse_frequency_weights, l1, mae, run_seeds,
+                              inverse_frequency_weights, l1, labels_of, mae, run_seeds,
                               train_loop, weighted_accuracy, write_metrics_csv,
                               write_summary_json)
 
@@ -251,10 +251,11 @@ def test_training_step_reuses_the_memory_the_last_step_freed():
     model = Model(config, Rng(1).spawn("init"))
     train_loop(splits, model, TrainConfig(max_epochs=1), Rng(1).spawn("train"))
     b = batch(splits["train"])
+    labels = labels_of(splits["train"], "node-class")
 
     def step():
         model.zero_grads()
-        backward(cross_entropy(model.forward(b, training=True), b.node_labels))
+        backward(cross_entropy(model.forward(b, training=True), labels))
 
     step()  # a step frees what it allocated when it returns
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -336,6 +337,40 @@ def test_evaluate_batch_size_invariant():
     l2, m2 = evaluate(model, splits["val"], batch_size=64)
     assert l1_ == pytest.approx(l2, abs=1e-9)
     assert m1 == pytest.approx(m2, abs=1e-12)
+
+
+WEIGHTED_SPLITS = {
+    "density": (DatasetSpec(task="graph-class", generator="density",
+                            params=dict(n_nodes=8, p_sparse=0.1, p_dense=0.5),
+                            n_train=7, n_val=9, n_test=1, seed=3),
+                ModelConfig(task="graph-class", base="gcn", nlmi=True, k_layers=1,
+                            width=4, d_in=1, n_classes=2)),
+    "tsp": (DatasetSpec(task="edge-pred", generator="tsp", params=dict(n_cities=8, k_nn=5),
+                        n_train=3, n_val=5, n_test=1, seed=3),
+            ModelConfig(task="edge-pred", base="gatedgcn", nlmi=True, k_layers=1,
+                        width=4, d_in=2, d_edge=1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED_SPLITS))
+def test_weighted_evaluate_loss_does_not_depend_on_batch_size(name):
+    # class weights (density) and pos_weight (tsp) weight each example, so
+    # the split's loss is one weighted mean, not a mean of batch means
+    spec, config = WEIGHTED_SPLITS[name]
+    splits = generate_dataset(spec)
+    class_weights, pos_weight = _loss_weights(splits["train"], spec.task, config, True)
+    assert class_weights is not None or pos_weight != 1.0
+    model = Model(config, Rng(4).spawn("init"))
+    losses = [evaluate(model, splits["val"], size, class_weights, pos_weight)[0]
+              for size in (1, 64)]
+    assert losses[0] == pytest.approx(losses[1], rel=0, abs=1e-12)
+
+
+def test_labels_of_rejects_graphs_without_the_task_labels():
+    graphs = generate_dataset(SBM_SPEC)["val"]
+    with pytest.raises(ValueError, match="no edge-pred labels") as err:
+        labels_of(graphs, "edge-pred")
+    assert "\n" not in str(err.value)
 
 
 # --- reporting -----------------------------------------------------------------------
