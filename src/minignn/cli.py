@@ -159,6 +159,8 @@ def cmd_eval(args) -> int:
                           f"but {args.data} holds {spec.task!r} data")
     if args.split not in splits:
         raise ConfigError(f"split {args.split!r} not in dataset (has {sorted(splits)})")
+    if not splits[args.split]:
+        raise ConfigError(f"split {args.split!r} of {args.data} is empty")
     _check_data_fits(model.config, splits)
     loss, metric = evaluate(model, splits[args.split])
     print(f"split={args.split} loss={loss:.6f} metric={metric:.6f}")

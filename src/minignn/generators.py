@@ -4,6 +4,10 @@ Each generator is pure given (parameters, rng): the same seed yields a
 byte-identical dataset. Labels come from exact oracles (exhaustive tour
 enumeration for the routing task, direct triangle enumeration for the
 regression target), not from approximations.
+
+Every random edge is drawn by ``random_edges``: each pair u < v, in (u, v)
+order, takes exactly one ``rng.uniform()`` unless it is fixed, so the
+datasets' bytes depend on that one function's draw order.
 """
 
 from __future__ import annotations
@@ -64,6 +68,19 @@ def _both_directions(pairs: list[tuple[int, int]]) -> np.ndarray:
     return np.array(directed, dtype=np.int64)
 
 
+def random_edges(n: int, p, rng: Rng, fixed=frozenset()) -> np.ndarray:
+    """Directed edge array of a random undirected graph on n nodes.
+
+    Each pair u < v, taken in (u, v) order, draws one rng.uniform() and is
+    kept when the draw is below p[u][v]; p is one probability or an (n, n)
+    array of them. Pairs in fixed are kept and draw nothing.
+    """
+    p = p.tolist() if isinstance(p, np.ndarray) else [[p] * n] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u, v) in fixed or rng.uniform() < p[u][v]]
+    return _both_directions(pairs)
+
+
 # --- community graphs (node classification) --------------------------------
 
 def gen_sbm_communities(
@@ -90,14 +107,7 @@ def gen_sbm_communities(
     for i in range(n_nodes % n_communities):
         sizes[i] += 1
     labels = np.repeat(np.arange(n_communities), sizes)
-
-    pairs = []
-    for u in range(n_nodes):
-        for v in range(u + 1, n_nodes):
-            p = p_in if labels[u] == labels[v] else p_intra
-            if rng.uniform() < p:
-                pairs.append((u, v))
-    edges = _both_directions(pairs)
+    edges = random_edges(n_nodes, np.where(labels[:, None] == labels, p_in, p_intra), rng)
 
     x = np.zeros((n_nodes, n_communities))
     n_hints = int(round(hint_fraction * n_nodes))
@@ -123,15 +133,9 @@ def gen_planted_pattern(
         raise ValueError(f"need 0 < pattern_size < n_base, got {pattern_size}, {n_base}")
     if not 0.0 <= p_base < p_pattern <= 1.0:
         raise ValueError(f"need 0 <= p_base < p_pattern <= 1, got {p_base}, {p_pattern}")
-    planted = set(rng.sample(n_base, pattern_size))
-    labels = np.array([1 if u in planted else 0 for u in range(n_base)], dtype=np.int64)
-    pairs = []
-    for u in range(n_base):
-        for v in range(u + 1, n_base):
-            p = p_pattern if (u in planted and v in planted) else p_base
-            if rng.uniform() < p:
-                pairs.append((u, v))
-    edges = _both_directions(pairs)
+    labels = np.zeros(n_base, dtype=np.int64)
+    labels[rng.sample(n_base, pattern_size)] = 1
+    edges = random_edges(n_base, np.where(labels[:, None] & labels, p_pattern, p_base), rng)
     x = np.ones((n_base, 1))
     return Graph(num_nodes=n_base, edges=edges, node_features=x, node_labels=labels)
 
@@ -179,17 +183,13 @@ def gen_tsp_instance(n_cities: int, k_nn: int, rng: Rng) -> Graph:
     pairs = []
     for u in range(n_cities):
         order = sorted((dist[u, v], v) for v in range(n_cities) if v != u)
-        for _, v in order[:k_nn]:
-            pairs.append((min(u, v), max(u, v)))
+        pairs.extend((u, v) for _, v in order[:k_nn])
     edges = _both_directions(pairs)
 
     tour, _ = brute_force_tour(coords)
-    cycle = set()
-    for a, b in zip(tour, tour[1:] + tour[:1]):
-        cycle.add((a, b))
-        cycle.add((b, a))
-    edge_set = {tuple(e) for e in edges}
-    missing = cycle - edge_set
+    tour_edges = _both_directions(list(zip(tour, tour[1:] + tour[:1])))
+    cycle = set(map(tuple, tour_edges.tolist()))
+    missing = cycle - set(map(tuple, edges.tolist()))
     if missing:
         raise ValueError(
             f"optimal tour uses edges absent from the {k_nn}-NN graph: {sorted(missing)}"
@@ -239,16 +239,8 @@ def gen_graph_regression(
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}, {n_max}")
     n = n_min + rng.randint(n_max - n_min + 1)
-    pairs = []
-    for v in range(1, n):  # random spanning tree keeps the graph connected
-        u = rng.randint(v)
-        pairs.append((u, v))
-    tree = set(pairs)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in tree and rng.uniform() < extra_edge_p:
-                pairs.append((u, v))
-    edges = _both_directions(pairs)
+    tree = {(rng.randint(v), v) for v in range(1, n)}  # a random spanning tree keeps it connected
+    edges = random_edges(n, extra_edge_p, rng, fixed=tree)
     deg = np.bincount(edges[:, 1], minlength=n).astype(float)
     x = (deg / max(1, n - 1)).reshape(-1, 1)
     g = Graph(num_nodes=n, edges=edges, node_features=x)
@@ -271,14 +263,7 @@ def gen_graph_class(
     if not 0.0 <= p_sparse < p_dense <= 1.0:
         raise ValueError(f"need 0 <= p_sparse < p_dense <= 1, got {p_sparse}, {p_dense}")
     label = rng.randint(2)
-    p = p_dense if label else p_sparse
-    pairs = [
-        (u, v)
-        for u in range(n_nodes)
-        for v in range(u + 1, n_nodes)
-        if rng.uniform() < p
-    ]
-    edges = _both_directions(pairs)
+    edges = random_edges(n_nodes, p_dense if label else p_sparse, rng)
     x = np.ones((n_nodes, 1))
     return Graph(num_nodes=n_nodes, edges=edges, node_features=x, graph_label=int(label))
 

@@ -303,6 +303,9 @@ class ModelConfig:
                              f"got {self.terms!r}")
         self.terms = tuple(self.terms)
         use_self, use_msg, use_enc = self.terms
+        if self.base == "gcn" and self.terms != (True, True, True):
+            raise ValueError(f"terms select gatedgcn update terms; base gcn takes only "
+                             f"the default [true, true, true], got {list(self.terms)}")
         if self.base == "gatedgcn" and not (use_self or use_msg or (use_enc and self.nlmi)):
             raise ValueError(f"terms {list(self.terms)} with nlmi={self.nlmi} select no "
                              "node-update term")

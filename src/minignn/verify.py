@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .generators import _both_directions
+from .generators import random_edges
 from .graph import Graph
 from .layers import (BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, GraphView, Linear, Model,
                      ModelConfig)
@@ -34,14 +34,9 @@ VARIANTS = {
 
 
 def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.uniform() < 0.5:
-                pairs.append((u, v))
-    if not pairs:
-        pairs = [(0, 1)]
-    edges = _both_directions(pairs)
+    edges = random_edges(n, 0.5, rng)
+    if not len(edges):
+        edges = np.array([[0, 1], [1, 0]], dtype=np.int64)
     return Graph(
         num_nodes=n,
         edges=edges,

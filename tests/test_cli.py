@@ -183,6 +183,17 @@ def test_train_with_no_node_update_term_exits_1(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_train_gcn_with_terms_exits_1(tmp_path, capsys):
+    # gcn has no update terms to select, so a terms choice would be recorded but not applied
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    code = main(["train", "--config", cfg, "--out", str(tmp_path / "r"),
+                 "--terms", "self,msg"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "gcn" in err and "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
 def test_eval_checkpoint_without_config_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "run"
@@ -294,6 +305,22 @@ def test_eval_on_data_of_another_task_exits_1(tmp_path, capsys, model_data, eval
                  "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert model_data[0] in err and eval_data[0] in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_on_an_empty_split_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    cfg = one_epoch_config(*PATTERN)
+    assert main(["train", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    cfg["dataset"]["n_val"] = 0
+    data_cfg = write_config(tmp_path, cfg, "data_config.json")
+    assert main(["gen", "--config", data_cfg, "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_seed1.json"),
+                 "--data", str(data), "--split", "val"]) == 1
+    err = capsys.readouterr().err
+    assert "'val'" in err and "empty" in err and str(data) in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -10,9 +10,38 @@ from minignn.generators import (DatasetSpec, DatasetError, brute_force_tour,
                                 count_triangles, gen_graph_class,
                                 gen_graph_regression, gen_planted_pattern,
                                 gen_sbm_communities, gen_tsp_instance,
-                                generate_dataset, load_dataset,
+                                generate_dataset, load_dataset, random_edges,
                                 regression_target, save_dataset)
 from minignn.rng import Rng
+
+
+# --- the shared edge sampler ------------------------------------------------
+
+def pair_loop_edges(n, p, rng, fixed):
+    """The literal per-pair loop: pairs in (u, v) order, one draw per pair not in fixed."""
+    pairs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in fixed or rng.uniform() < (p if np.isscalar(p) else p[u, v]):
+                pairs |= {(u, v), (v, u)}
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0, "matrix"])
+@pytest.mark.parametrize("with_fixed", [False, True])
+def test_random_edges_matches_the_pair_loop(n, p, with_fixed):
+    if p == "matrix":
+        p = Rng(99).uniforms((n, n))
+        p[0] = 1.0  # a p of 1.0 still draws
+        p[:, 1::3] = 0.0
+    fixed = {(u, u + 1) for u in range(0, n - 1, 2)} if with_fixed else frozenset()
+    ours, theirs = Rng(5), Rng(5)
+    edges = random_edges(n, p, ours, fixed)
+    expected = pair_loop_edges(n, p, theirs, fixed)
+    assert edges.dtype == np.int64 and edges.shape == (len(expected), 2)
+    assert edges.tolist() == [list(e) for e in expected]
+    assert ours.next_u64() == theirs.next_u64()  # the same stream position afterwards
 
 
 # --- community graphs -------------------------------------------------------
