@@ -104,7 +104,7 @@ def _build(raw: dict):
 
 def _check_data_fits(config: ModelConfig, splits: dict) -> None:
     """The model's input widths must equal the widths of the data's features,
-    and every class label must lie in [0, n_classes)."""
+    every class label must lie in [0, n_classes), and every edge label in [0, 2)."""
     for graphs in splits.values():
         for g in graphs:
             if g.node_features.shape[1] != config.d_in:
@@ -114,12 +114,14 @@ def _check_data_fits(config: ModelConfig, splits: dict) -> None:
                     and g.edge_features.shape[1] != config.d_edge):
                 raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
                                   f"features have width {g.edge_features.shape[1]}")
-        if graphs and config.task in ("node-class", "graph-class"):
+        if graphs and config.task != "graph-reg":
+            edge = config.task == "edge-pred"
             labels = labels_of(graphs, config.task)
-            bad = labels[(labels < 0) | (labels >= config.n_classes)]
+            bad = labels[(labels < 0) | (labels >= (2 if edge else config.n_classes))]
             if bad.size:
-                raise ConfigError(f"model n_classes is {config.n_classes}, but the data "
-                                  f"has class label {bad[0]}")
+                limit = "edge labels must be 0 or 1" if edge else \
+                    f"model n_classes is {config.n_classes}"
+                raise ConfigError(f"{limit}, but the data has label {bad[0]}")
 
 
 # --- subcommands -------------------------------------------------------------

@@ -38,6 +38,7 @@ BASES = ("gcn", "gatedgcn")
 GATE_EPS = 1e-6
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+CHECKPOINT_VERSION = 1  # Model.load reads only this layout
 
 
 class GraphView:
@@ -382,6 +383,7 @@ class Model:
 
     def state(self) -> dict:
         state = {
+            "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "params": {k: v.data.tolist() for k, v in self.params().items()},
             "stats": {
@@ -423,6 +425,9 @@ class Model:
             state = json.load(fh)
         if not isinstance(state, dict):
             raise ValueError(f"checkpoint {path} is not a JSON object")
+        if state.get("version") != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint {path} has version {state.get('version')!r}, "
+                             f"expected {CHECKPOINT_VERSION}")
         model = cls(make_config(ModelConfig, state.get("config"), "checkpoint config"), Rng(0))
         model.load_state(state)
         return model

@@ -29,41 +29,41 @@ from .tensor import Tensor, NumericsError
 
 # --- optimizer and schedule -------------------------------------------------
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Bias-corrected Adam over a named parameter dict."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(p.shape) for k, p in params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in params.items()}
 
     def step(self) -> None:
+        beta1, beta2 = ADAM_BETAS
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - beta1 ** self.t
+        bc2 = 1.0 - beta2 ** self.t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros(p.shape)
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = beta1 * self.m[name] + (1.0 - beta1) * g
+            self.v[name] = beta2 * self.v[name] + (1.0 - beta2) * g * g
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class PlateauScheduler:
-    """Halve the learning rate after ``patience`` non-improving epochs."""
+    """Scale the learning rate by ``config.factor`` after ``config.patience``
+    non-improving epochs, starting from ``config.lr`` (a TrainConfig)."""
 
-    def __init__(self, lr: float, patience: int = 10, factor: float = 0.5,
-                 min_lr: float = 1e-6):
-        self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
+    def __init__(self, config: TrainConfig):
+        self.config = config
+        self.lr = config.lr
         self.best_val_loss = math.inf
         self.epochs_since_improvement = 0
 
@@ -74,57 +74,39 @@ class PlateauScheduler:
             self.epochs_since_improvement = 0
         else:
             self.epochs_since_improvement += 1
-            if self.epochs_since_improvement >= self.patience:
-                self.lr *= self.factor
+            if self.epochs_since_improvement >= self.config.patience:
+                self.lr *= self.config.factor
                 self.epochs_since_improvement = 0
-        return self.lr, self.lr < self.min_lr
+        return self.lr, self.lr < self.config.min_lr
 
 
 # --- losses -----------------------------------------------------------------
+# Each loss gives one value per example, an (n, 1) column; compute_loss is the
+# one place that reduces them to a (weighted) mean.
 
-def cross_entropy(logits: Tensor, labels: np.ndarray,
-                  class_weights: np.ndarray | None = None) -> Tensor:
-    """Softmax cross-entropy, mean-reduced (weighted mean when weights given)."""
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Softmax cross-entropy of each row of logits."""
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
     z = T.sub(logits, Tensor(logits.data.max(axis=1, keepdims=True)))  # (n, 1) column
     lse = T.log(T.sum_cols(T.exp(z)))
     onehot = np.zeros((n, c))
     onehot[np.arange(n), labels] = 1.0
-    chosen = T.sum_cols(T.mul(z, Tensor(onehot)))
-    nll = T.sub(lse, chosen)
-    if class_weights is None:
-        return T.scale(T.sum_all(nll), 1.0 / n)
-    w = class_weights[labels].reshape(-1, 1)
-    return T.scale(T.sum_all(T.mul(nll, Tensor(w))), 1.0 / w.sum())
+    return T.sub(lse, T.sum_cols(T.mul(z, Tensor(onehot))))
 
 
-def binary_ce(logits: Tensor, labels: np.ndarray, pos_weight: float = 1.0) -> Tensor:
-    """Stable sigmoid cross-entropy on a column of logits, weighted mean.
-
-    Positive examples are weighted by pos_weight, negatives by 1.
-    """
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    y = Tensor(labels)
+def binary_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Stable sigmoid cross-entropy of each entry of a column of logits."""
+    y = Tensor(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
     # max(z, 0) - z*y + log(1 + exp(-|z|))
     softplus = T.log(T.add(T.exp(T.scale(T.absolute(logits), -1.0)), Tensor(np.ones(1))))
-    per = T.add(T.sub(T.relu(logits), T.mul(logits, y)), softplus)
-    w = np.where(labels > 0.5, pos_weight, 1.0)
-    return T.scale(T.sum_all(T.mul(per, Tensor(w))), 1.0 / w.sum())
+    return T.add(T.sub(T.relu(logits), T.mul(logits, y)), softplus)
 
 
 def l1(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean absolute error, differentiable."""
+    """Absolute error of each entry of a column of predictions."""
     target = np.asarray(target, dtype=np.float64).reshape(pred.shape)
-    n = pred.data.size
-    return T.scale(T.sum_all(T.absolute(T.sub(pred, Tensor(target)))), 1.0 / n)
-
-
-def inverse_frequency_weights(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    counts = np.bincount(np.asarray(labels, dtype=np.int64), minlength=n_classes)
-    counts = np.maximum(counts, 1)
-    w = labels.size / (n_classes * counts.astype(np.float64))
-    return w
+    return T.absolute(T.sub(pred, Tensor(target)))
 
 
 # --- metrics ----------------------------------------------------------------
@@ -211,26 +193,37 @@ def labels_of(graphs: list[Graph], task: str) -> np.ndarray:
     return np.array(parts, dtype=np.int64 if task == "graph-class" else np.float64)
 
 
-def _loss_weights(graphs: list[Graph], task: str, model_config: ModelConfig,
-                  enabled: bool):
-    """Class weighting derived from the training split."""
-    if not enabled or task == "graph-reg":
-        return None, 1.0
+def class_weights(graphs: list[Graph], task: str, n_classes: int) -> np.ndarray | None:
+    """One loss weight per class, from the training split's labels.
+
+    Classes are weighted by inverse frequency; edge-pred weights positives by
+    neg / pos and negatives by exactly 1. graph-reg has no classes: None.
+    """
+    if task == "graph-reg":
+        return None
     labels = labels_of(graphs, task)
     if task == "edge-pred":
         pos = max(int(labels.sum()), 1)
         neg = max(int(labels.size - pos), 1)
-        return None, neg / pos
-    return inverse_frequency_weights(labels, model_config.n_classes), 1.0
+        return np.array([1.0, neg / pos])
+    counts = np.maximum(np.bincount(labels, minlength=n_classes), 1)
+    return labels.size / (n_classes * counts.astype(np.float64))
+
+
+_LOSSES = {"node-class": cross_entropy, "graph-class": cross_entropy,
+           "edge-pred": binary_ce, "graph-reg": l1}
 
 
 def compute_loss(pred: Tensor, labels: np.ndarray, task: str,
-                 class_weights, pos_weight: float) -> Tensor:
-    if task in ("node-class", "graph-class"):
-        return cross_entropy(pred, labels, class_weights)
-    if task == "edge-pred":
-        return binary_ce(pred, labels, pos_weight)
-    return l1(pred, labels)
+                 weights: np.ndarray | None = None) -> Tensor:
+    """The task's loss, averaged over examples, each weighted by its class's
+    entry of ``weights`` (a plain mean when None)."""
+    per = _LOSSES[task](pred, labels)
+    if weights is None:
+        w = np.ones((per.shape[0], 1))
+    else:
+        w = weights[np.asarray(labels, dtype=np.int64)].reshape(-1, 1)
+    return T.scale(T.sum_all(T.mul(per, Tensor(w))), 1.0 / w.sum())
 
 
 def compute_metric(pred: Tensor, labels: np.ndarray, task: str) -> float:
@@ -243,7 +236,7 @@ def compute_metric(pred: Tensor, labels: np.ndarray, task: str) -> float:
 
 
 def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
-             class_weights=None, pos_weight: float = 1.0) -> tuple[float, float]:
+             weights: np.ndarray | None = None) -> tuple[float, float]:
     """(loss, task metric) over a split, eval mode.
 
     The model runs one batch at a time; the loss is then taken once over the
@@ -255,7 +248,7 @@ def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
                  for i in range(0, len(graphs), batch_size)]
         pred = Tensor(np.concatenate(preds, axis=0))
         labels = labels_of(graphs, task)
-        loss = compute_loss(pred, labels, task, class_weights, pos_weight)
+        loss = compute_loss(pred, labels, task, weights)
     return float(loss.data), compute_metric(pred, labels, task)
 
 
@@ -290,12 +283,10 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
     _retain_freed_memory()
     task = model.config.task
     metric_name = _METRIC_NAMES[task]
-    class_weights, pos_weight = _loss_weights(
-        splits["train"], task, model.config, config.weight_classes
-    )
-    params = model.params()
-    opt = Adam(params, lr=config.lr)
-    sched = PlateauScheduler(config.lr, config.patience, config.factor, config.min_lr)
+    weights = (class_weights(splits["train"], task, model.config.n_classes)
+               if config.weight_classes else None)
+    opt = Adam(model.params(), lr=config.lr)
+    sched = PlateauScheduler(config)
     order_rng = rng.spawn("batch-order")
 
     history: list[MetricsRecord] = []
@@ -313,8 +304,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
             b = make_batch(chunk)
             model.zero_grads()
             pred = model.forward(b, training=True)
-            loss = compute_loss(pred, labels_of(chunk, task), task,
-                                class_weights, pos_weight)
+            loss = compute_loss(pred, labels_of(chunk, task), task, weights)
             if not np.isfinite(loss.data):
                 raise NumericsError(
                     f"non-finite loss at epoch {epoch}, batch {bstart // config.batch_size}"
@@ -325,9 +315,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
             del pred, loss  # free this step's graph before the next forward
 
         train_loss = float(np.mean(batch_losses))
-        val_loss, val_metric = evaluate(
-            model, splits["val"], config.batch_size, class_weights, pos_weight
-        )
+        val_loss, val_metric = evaluate(model, splits["val"], config.batch_size, weights)
         seconds = time.perf_counter() - t0
         history.append(MetricsRecord(epoch, "train", train_loss, metric_name,
                                      math.nan, seconds))

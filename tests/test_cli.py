@@ -228,6 +228,27 @@ def test_eval_checkpoint_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("version", [None, 2])
+def test_eval_checkpoint_of_another_version_exits_1(tmp_path, capsys, version):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    out = tmp_path / "run"
+    data = tmp_path / "data.json"
+    assert main(["train", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+    ckpt = json.loads((out / "checkpoint_seed1.json").read_text())
+    if version is None:
+        del ckpt["version"]
+    else:
+        ckpt["version"] = version
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert f"has version {version}" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 DENSITY_CONFIG = {
     "version": 1,
     "dataset": {"task": "graph-class", "generator": "density",
@@ -324,11 +345,14 @@ def test_eval_on_an_empty_split_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("task,mutate", [
-    ("node-class", lambda y: y[:-1]),
-    ("edge-pred", lambda y: 3),
-], ids=["short-node-labels", "scalar-edge-labels"])
-def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task, mutate):
+@pytest.mark.parametrize("task,mutate,message", [
+    ("node-class", lambda y: y[:-1], "labels has shape"),
+    ("edge-pred", lambda y: 3, "labels has shape"),
+    ("edge-pred", lambda y: [2] + y[1:], "must be 0 or 1, but the data has label 2"),
+    ("edge-pred", lambda y: y[:-1] + [-1], "must be 0 or 1, but the data has label -1"),
+], ids=["short-node-labels", "scalar-edge-labels", "edge-label-2", "edge-label--1"])
+def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task, mutate,
+                                                          message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     if task == "edge-pred":
         cfg["dataset"].update(task=task, generator="tsp", params={"n_cities": 5, "k_nn": 4})
@@ -347,7 +371,7 @@ def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task
     assert main(["eval", "--checkpoint", str(out / "checkpoint_seed1.json"),
                  "--data", str(data)]) == 1
     err = capsys.readouterr().err
-    assert "labels has shape" in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import resource
@@ -10,15 +11,14 @@ import pytest
 
 from minignn import tensor as T
 from minignn.generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
-from minignn.graph import batch
+from minignn.graph import Graph, batch
 from minignn.layers import Model, ModelConfig
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
-from minignn.training import (Adam, PlateauScheduler, TrainConfig, _loss_weights, accuracy,
-                              binary_ce, cross_entropy, evaluate, f1_positive,
-                              inverse_frequency_weights, l1, labels_of, mae, run_seeds,
-                              train_loop, weighted_accuracy, write_metrics_csv,
-                              write_summary_json)
+from minignn.training import (Adam, PlateauScheduler, TrainConfig, accuracy, binary_ce,
+                              class_weights, compute_loss, cross_entropy, evaluate,
+                              f1_positive, l1, labels_of, mae, run_seeds, train_loop,
+                              weighted_accuracy, write_metrics_csv, write_summary_json)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -63,15 +63,19 @@ def test_adam_missing_grad_treated_as_zero():
 
 # --- scheduler ----------------------------------------------------------------
 
+def scheduler(lr=1e-3, **knobs):
+    return PlateauScheduler(TrainConfig(lr=lr, **knobs))
+
+
 def test_scheduler_improvement_keeps_lr():
-    s = PlateauScheduler(1e-3, patience=2)
+    s = scheduler(patience=2)
     for loss in (1.0, 0.9, 0.8):
         lr, stop = s.step(loss)
     assert lr == 1e-3 and not stop
 
 
 def test_scheduler_halves_after_patience():
-    s = PlateauScheduler(1e-3, patience=2)
+    s = scheduler(patience=2)
     s.step(1.0)
     s.step(1.0)
     lr, stop = s.step(1.0)
@@ -79,21 +83,21 @@ def test_scheduler_halves_after_patience():
 
 
 def test_scheduler_counter_resets_after_halving():
-    s = PlateauScheduler(1e-3, patience=2)
+    s = scheduler(patience=2)
     for _ in range(4):
         lr, _ = s.step(1.0)
     assert lr == 5e-4  # halved once at step 3, next halving needs 2 more
 
 
 def test_scheduler_equal_loss_is_not_improvement():
-    s = PlateauScheduler(1e-3, patience=1)
+    s = scheduler(patience=1)
     s.step(0.5)
     lr, _ = s.step(0.5)
     assert lr == 5e-4
 
 
 def test_scheduler_stops_below_min_lr():
-    s = PlateauScheduler(1.9e-6, patience=1, min_lr=1e-6)
+    s = scheduler(1.9e-6, patience=1, min_lr=1e-6)
     s.step(1.0)
     lr, stop = s.step(1.0)
     assert lr == pytest.approx(0.95e-6) and stop
@@ -103,14 +107,16 @@ def test_scheduler_stops_below_min_lr():
 
 def test_cross_entropy_uniform_logits_is_log_c():
     logits = Tensor(np.zeros((5, 4)))
-    loss = cross_entropy(logits, np.array([0, 1, 2, 3, 0]))
+    labels = np.array([0, 1, 2, 3, 0])
+    npt.assert_allclose(cross_entropy(logits, labels).data, np.full((5, 1), math.log(4)),
+                        rtol=0, atol=1e-12)
+    loss = compute_loss(logits, labels, "node-class")
     assert float(loss.data) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_cross_entropy_confident_correct_near_zero():
     logits = Tensor(np.array([[50.0, 0.0], [0.0, 50.0]]))
-    loss = cross_entropy(logits, np.array([0, 1]))
-    assert float(loss.data) < 1e-12
+    assert float(compute_loss(logits, np.array([0, 1]), "graph-class").data) < 1e-12
 
 
 def test_cross_entropy_shift_invariant():
@@ -119,21 +125,19 @@ def test_cross_entropy_shift_invariant():
     labels = np.array([0, 1, 2, 0, 1, 2])
     a = cross_entropy(Tensor(z), labels)
     b = cross_entropy(Tensor(z + 1000.0), labels)
-    assert float(a.data) == pytest.approx(float(b.data), abs=1e-9)
+    npt.assert_allclose(a.data, b.data, rtol=0, atol=1e-9)
 
 
 def test_cross_entropy_class_weights_reweight_mean():
     logits = Tensor(np.array([[2.0, 0.0], [0.0, 2.0]]))
     labels = np.array([0, 1])
-    w = np.array([3.0, 1.0])
-    weighted = cross_entropy(logits, labels, w)
-    plain = cross_entropy(logits, labels)
+    weighted = compute_loss(logits, labels, "node-class", np.array([3.0, 1.0]))
+    plain = compute_loss(logits, labels, "node-class")
     # both rows have identical nll here, so reweighting changes nothing
     assert float(weighted.data) == pytest.approx(float(plain.data), abs=1e-12)
-    w2 = np.array([1.0, 0.0])
-    only_first = cross_entropy(Tensor(np.array([[5.0, 0.0], [5.0, 0.0]])),
-                               np.array([0, 1]), w2)
-    direct = cross_entropy(Tensor(np.array([[5.0, 0.0]])), np.array([0]))
+    only_first = compute_loss(Tensor(np.array([[5.0, 0.0], [5.0, 0.0]])),
+                              np.array([0, 1]), "node-class", np.array([1.0, 0.0]))
+    direct = compute_loss(Tensor(np.array([[5.0, 0.0]])), np.array([0]), "node-class")
     assert float(only_first.data) == pytest.approx(float(direct.data), abs=1e-12)
 
 
@@ -141,11 +145,13 @@ def test_cross_entropy_gradient_matches_finite_differences():
     rng = Rng(2)
     labels = np.array([0, 2, 1, 1])
     x = Tensor(rng.normals((4, 3)), requires_grad=True)
-    assert finite_diff_check(lambda t: cross_entropy(t, labels), x) < 1e-6
+    for weights in (None, np.array([0.5, 2.0, 1.0])):
+        assert finite_diff_check(lambda t: compute_loss(t, labels, "node-class", weights),
+                                 x) < 1e-6
 
 
 def test_binary_ce_zero_logits():
-    loss = binary_ce(Tensor(np.zeros((4, 1))), np.array([0, 1, 0, 1]))
+    loss = compute_loss(Tensor(np.zeros((4, 1))), np.array([0, 1, 0, 1]), "edge-pred")
     assert float(loss.data) == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -153,44 +159,63 @@ def test_binary_ce_matches_naive_formula():
     rng = Rng(3)
     z = rng.normals((6, 1))
     y = np.array([1, 0, 1, 1, 0, 0])
-    loss = binary_ce(Tensor(z), y)
+    per = binary_ce(Tensor(z), y)
     p = 1.0 / (1.0 + np.exp(-z.reshape(-1)))
-    naive = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
-    assert float(loss.data) == pytest.approx(naive, abs=1e-10)
+    naive = -(y * np.log(p) + (1 - y) * np.log(1 - p))
+    npt.assert_allclose(per.data, naive.reshape(-1, 1), rtol=0, atol=1e-10)
 
 
 def test_binary_ce_pos_weight():
     z = np.array([[0.0], [0.0]])
     y = np.array([1, 0])
-    loss = binary_ce(Tensor(z), y, pos_weight=3.0)
+    loss = compute_loss(Tensor(z), y, "edge-pred", np.array([1.0, 3.0]))
     # (3*log2 + 1*log2) / 4
     assert float(loss.data) == pytest.approx(math.log(2), abs=1e-12)
+    z = np.array([[2.0], [-1.0]])
+    per = binary_ce(Tensor(z), y).data.reshape(-1)
+    loss = compute_loss(Tensor(z), y, "edge-pred", np.array([1.0, 3.0]))
+    assert float(loss.data) == pytest.approx((3 * per[0] + per[1]) / 4, abs=1e-12)
 
 
 def test_binary_ce_stable_for_large_logits():
-    loss = binary_ce(Tensor(np.array([[500.0], [-500.0]])), np.array([1, 0]))
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+    per = binary_ce(Tensor(np.array([[500.0], [-500.0]])), np.array([1, 0]))
+    npt.assert_allclose(per.data, np.zeros((2, 1)), rtol=0, atol=1e-12)
 
 
 def test_binary_ce_gradient_matches_finite_differences():
     rng = Rng(4)
     y = np.array([1, 0, 1])
     x = Tensor(rng.normals((3, 1)), requires_grad=True)
-    assert finite_diff_check(lambda t: binary_ce(t, y, pos_weight=2.0), x) < 1e-6
+    weights = np.array([1.0, 2.0])
+    assert finite_diff_check(lambda t: compute_loss(t, y, "edge-pred", weights), x) < 1e-6
 
 
 def test_l1_values_and_gradient():
     pred = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
     target = np.array([0.5, 5.0])
-    loss = l1(pred, target)
-    assert float(loss.data) == pytest.approx(1.25, abs=1e-15)
+    npt.assert_array_equal(l1(pred, target).data, [[0.5], [2.0]])
+    assert float(compute_loss(pred, target, "graph-reg").data) == pytest.approx(1.25, abs=1e-15)
     x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
-    assert finite_diff_check(lambda t: l1(t, target), x) < 1e-6
+    assert finite_diff_check(lambda t: compute_loss(t, target, "graph-reg"), x) < 1e-6
+
+
+NODES = [Graph(num_nodes=4, edges=np.zeros((0, 2)), node_features=np.zeros((4, 1)),
+               node_labels=[0, 0, 0, 1], graph_label=1)]
 
 
 def test_inverse_frequency_weights():
-    w = inverse_frequency_weights(np.array([0, 0, 0, 1]), 2)
-    npt.assert_allclose(w, [4 / 6, 4 / 2], atol=1e-15)
+    npt.assert_allclose(class_weights(NODES, "node-class", 2), [4 / 6, 4 / 2], atol=1e-15)
+    npt.assert_allclose(class_weights(NODES, "graph-class", 3), [1 / 3, 1 / 3, 1 / 3],
+                        atol=1e-15)  # absent classes count once
+
+
+def test_class_weights_of_edges_and_regression():
+    # edge-pred weights are [1, neg / pos] exactly, not inverse frequency:
+    # rescaled weights would change the weighted mean's rounding
+    edges = [Graph(num_nodes=2, edges=[[0, 1], [1, 0], [0, 0], [1, 1]],
+                   node_features=np.zeros((2, 1)), edge_labels=[1, 0, 0, 0])]
+    assert class_weights(edges, "edge-pred", 2).tolist() == [1.0, 3.0]
+    assert class_weights(NODES, "graph-reg", 2) is None
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -255,7 +280,7 @@ def test_training_step_reuses_the_memory_the_last_step_freed():
 
     def step():
         model.zero_grads()
-        backward(cross_entropy(model.forward(b, training=True), labels))
+        backward(compute_loss(model.forward(b, training=True), labels, "node-class"))
 
     step()  # a step frees what it allocated when it returns
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -354,16 +379,44 @@ WEIGHTED_SPLITS = {
 
 @pytest.mark.parametrize("name", sorted(WEIGHTED_SPLITS))
 def test_weighted_evaluate_loss_does_not_depend_on_batch_size(name):
-    # class weights (density) and pos_weight (tsp) weight each example, so
-    # the split's loss is one weighted mean, not a mean of batch means
+    # class weights (density) and positive-edge weights (tsp) weight each
+    # example, so the split's loss is one weighted mean, not a mean of batch means
     spec, config = WEIGHTED_SPLITS[name]
     splits = generate_dataset(spec)
-    class_weights, pos_weight = _loss_weights(splits["train"], spec.task, config, True)
-    assert class_weights is not None or pos_weight != 1.0
+    weights = class_weights(splits["train"], spec.task, config.n_classes)
+    assert np.any(weights != 1.0)
     model = Model(config, Rng(4).spawn("init"))
-    losses = [evaluate(model, splits["val"], size, class_weights, pos_weight)[0]
-              for size in (1, 64)]
+    losses = [evaluate(model, splits["val"], size, weights)[0] for size in (1, 64)]
     assert losses[0] == pytest.approx(losses[1], rel=0, abs=1e-12)
+
+
+PINNED_HISTORIES = {
+    "density": (*WEIGHTED_SPLITS["density"],
+                "84e1d638f0a973e8b39cb0e925870cb4f4fe35c2b0e157343d50488d431c4aba"),
+    "tsp": (*WEIGHTED_SPLITS["tsp"],
+            "97cdf260bc48371be1c0cf0b247f9f186971d1568f8664b5eba3dadcb5905212"),
+    "triangles": (DatasetSpec(task="graph-reg", generator="triangles",
+                              params=dict(n_min=4, n_max=8), n_train=7, n_val=3, n_test=1,
+                              seed=3),
+                  ModelConfig(task="graph-reg", base="gatedgcn", nlmi=True, k_layers=1,
+                              width=4, d_in=1),
+                  "aac80bb7b73828a396b414685bb4562e3c2cb402ecdb88c2b3a211c6822f5258"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES))
+def test_weighted_training_history_is_pinned(name):
+    # class weights (density), positive-edge weights (tsp) and the l1 loss
+    # (triangles): the digest covers every recorded loss and metric of a
+    # 2-epoch run and the best state's parameters and statistics
+    spec, config, digest = PINNED_HISTORIES[name]
+    model = Model(config, Rng(5).spawn("init"))
+    history, best = train_loop(generate_dataset(spec), model,
+                               TrainConfig(lr=1e-2, max_epochs=2, batch_size=3),
+                               Rng(5).spawn("train"))
+    blob = repr([(r.loss, r.value) for r in history]) + json.dumps(
+        [best["params"], best["stats"]], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_labels_of_rejects_graphs_without_the_task_labels():
