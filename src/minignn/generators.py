@@ -5,17 +5,17 @@ byte-identical dataset. Labels come from exact oracles (exhaustive tour
 enumeration for the routing task, direct triangle enumeration for the
 regression target), not from approximations.
 
-Every random edge is drawn by ``random_edges``: each pair u < v, in (u, v)
-order, takes exactly one ``rng.uniform()`` unless it is fixed, so the
-datasets' bytes depend on that one function's draw order.
+Every random edge is drawn by ``random_edges``: the pairs u < v that are
+not fixed take one ``rng.uniforms`` call, one draw per pair in (u, v)
+order, so the datasets' bytes depend on that one function's draw order.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,25 +60,40 @@ def make_config(cls, obj, context: str):
         raise ConfigError(f"bad {context} config: {err}") from err
 
 
-def _both_directions(pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Directed edge array for an undirected pair list, lexicographically sorted."""
-    directed = sorted(set(pairs) | {(v, u) for u, v in pairs})
-    if not directed:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.array(directed, dtype=np.int64)
+def _both_directions(adj: np.ndarray) -> np.ndarray:
+    """Directed edge array of the pairs marked in a boolean (n, n) adjacency,
+    each in both directions, lexicographically sorted."""
+    return np.argwhere(adj | adj.T).astype(np.int64, copy=False)
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every pair u < v, in (u, v) order."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def random_edges(n: int, p, rng: Rng, fixed=frozenset()) -> np.ndarray:
     """Directed edge array of a random undirected graph on n nodes.
 
-    Each pair u < v, taken in (u, v) order, draws one rng.uniform() and is
-    kept when the draw is below p[u][v]; p is one probability or an (n, n)
-    array of them. Pairs in fixed are kept and draw nothing.
+    Each pair u < v that is not in fixed takes one draw of a single
+    rng.uniforms call, in (u, v) order, and is kept when its draw is below
+    p[u][v]; p is one probability or an (n, n) array of them. Pairs in
+    fixed are kept and draw nothing.
     """
-    p = p.tolist() if isinstance(p, np.ndarray) else [[p] * n] * n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if (u, v) in fixed or rng.uniform() < p[u][v]]
-    return _both_directions(pairs)
+    rows, cols = _upper_pairs(n)
+    keep = np.zeros(len(rows), dtype=bool)
+    if fixed:
+        is_fixed = np.zeros((n, n), dtype=bool)
+        is_fixed[tuple(np.array(list(fixed)).T)] = True
+        keep = is_fixed[rows, cols]
+    free = ~keep
+    p = p[rows[free], cols[free]] if isinstance(p, np.ndarray) else p
+    keep[free] = rng.uniforms(int(free.sum())) < p
+    adj = np.zeros((n, n), dtype=bool)
+    adj[rows[keep], cols[keep]] = True
+    return _both_directions(adj)
 
 
 # --- community graphs (node classification) --------------------------------
@@ -147,23 +162,21 @@ def brute_force_tour(coords: np.ndarray) -> tuple[tuple[int, ...], float]:
 
     Ties are broken by the lexicographically smallest city sequence, so
     labels are deterministic. City 0 is fixed as the start and each cycle
-    is enumerated in one direction only ((n-1)!/2 candidates).
+    is enumerated in one direction only ((n-1)!/2 candidates). All tours
+    are scored as one array, summed edge by edge along the tour, and the
+    permutations come in lexicographic order, so argmin's first minimum
+    is the smallest tour.
     """
     n = coords.shape[0]
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
-    best_tour = None
-    best_len = math.inf
-    for perm in itertools.permutations(range(1, n)):
-        if perm[0] > perm[-1]:
-            continue  # each undirected cycle once
-        tour = (0,) + perm
-        length = dist[0, perm[0]] + dist[perm[-1], 0]
-        for a, b in zip(perm, perm[1:]):
-            length += dist[a, b]
-        if length < best_len or (length == best_len and tour < best_tour):
-            best_len = length
-            best_tour = tour
-    return best_tour, float(best_len)
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(1, n))),
+                        dtype=np.int64).reshape(-1, n - 1)
+    perms = perms[~(perms[:, 0] > perms[:, -1])]  # each undirected cycle once
+    lengths = dist[0, perms[:, 0]] + dist[perms[:, -1], 0]
+    for j in range(n - 2):
+        lengths += dist[perms[:, j], perms[:, j + 1]]
+    best = int(np.argmin(lengths))
+    return (0, *perms[best].tolist()), float(lengths[best])
 
 
 def gen_tsp_instance(n_cities: int, k_nn: int, rng: Rng) -> Graph:
@@ -180,23 +193,20 @@ def gen_tsp_instance(n_cities: int, k_nn: int, rng: Rng) -> Graph:
     coords = rng.uniforms((n_cities, 2))
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
 
-    pairs = []
+    knn = np.zeros((n_cities, n_cities), dtype=bool)
     for u in range(n_cities):
         order = sorted((dist[u, v], v) for v in range(n_cities) if v != u)
-        pairs.extend((u, v) for _, v in order[:k_nn])
-    edges = _both_directions(pairs)
+        knn[u, [v for _, v in order[:k_nn]]] = True
+    edges = _both_directions(knn)
 
     tour, _ = brute_force_tour(coords)
-    tour_edges = _both_directions(list(zip(tour, tour[1:] + tour[:1])))
-    cycle = set(map(tuple, tour_edges.tolist()))
-    missing = cycle - set(map(tuple, edges.tolist()))
+    cycle = np.zeros_like(knn)
+    cycle[tour, tour[1:] + tour[:1]] = True
+    missing = _both_directions(cycle & ~(knn | knn.T)).tolist()
     if missing:
-        raise ValueError(
-            f"optimal tour uses edges absent from the {k_nn}-NN graph: {sorted(missing)}"
-        )
-    edge_labels = np.array(
-        [1 if (s, d) in cycle else 0 for s, d in edges], dtype=np.int64
-    )
+        raise ValueError(f"optimal tour uses edges absent from the {k_nn}-NN graph: "
+                         f"{[tuple(e) for e in missing]}")
+    edge_labels = (cycle | cycle.T)[edges[:, 0], edges[:, 1]].astype(np.int64)
     edge_features = dist[edges[:, 0], edges[:, 1]].reshape(-1, 1)
     return Graph(
         num_nodes=n_cities,
@@ -305,7 +315,7 @@ class DatasetSpec:
         signature = inspect.signature(fn).parameters
         accepted = set(signature) - {"rng"}
         required = {k for k in accepted if signature[k].default is inspect.Parameter.empty}
-        unknown = sorted(set(self.params) - accepted)
+        unknown = sorted(self.params.keys() - accepted)
         missing = sorted(required - set(self.params))
         if unknown or missing:
             raise ValueError(f"generator {self.generator!r} params: unknown {unknown}, "
@@ -350,18 +360,18 @@ def _graph_from_obj(obj: dict, task: str) -> Graph:
     try:
         kwargs = {
             "num_nodes": int(obj["n"]),
-            "edges": np.array(obj["edges"], dtype=np.int64).reshape(-1, 2),
+            "edges": obj["edges"],
             "node_features": np.array(obj["x"], dtype=np.float64),
         }
         if "e" in obj:
             kwargs["edge_features"] = np.array(obj["e"], dtype=np.float64)
         y = obj["y"]
         if task == "node-class":
-            kwargs["node_labels"] = np.array(y, dtype=np.int64)
+            kwargs["node_labels"] = y
         elif task == "graph-class":
             kwargs["graph_label"] = int(y)
         elif task == "edge-pred":
-            kwargs["edge_labels"] = np.array(y, dtype=np.int64)
+            kwargs["edge_labels"] = y
         else:
             kwargs["graph_label"] = float(y)
         return Graph(**kwargs)

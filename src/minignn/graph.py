@@ -17,6 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _int64(name: str, values) -> np.ndarray:
+    """values as an int64 array; a value that is not an integer raises, not truncates."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        floats = arr.astype(np.float64)
+        bad = floats[~(np.isfinite(floats) & (floats == np.floor(floats)))]
+        if bad.size:
+            raise ValueError(f"{name} must hold integers, got {bad[0]}")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class Graph:
     num_nodes: int
@@ -28,14 +39,14 @@ class Graph:
     edge_labels: np.ndarray | None = None  # (E,) int64
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        self.edges = _int64("edges", self.edges).reshape(-1, 2)
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
         if self.edge_features is not None:
             self.edge_features = np.asarray(self.edge_features, dtype=np.float64)
         if self.node_labels is not None:
-            self.node_labels = np.asarray(self.node_labels, dtype=np.int64)
+            self.node_labels = _int64("node_labels", self.node_labels)
         if self.edge_labels is not None:
-            self.edge_labels = np.asarray(self.edge_labels, dtype=np.int64)
+            self.edge_labels = _int64("edge_labels", self.edge_labels)
         self.validate()
 
     def validate(self) -> None:

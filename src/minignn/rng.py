@@ -5,6 +5,11 @@ increment, with a fixed finalizer mix. The algorithm is frozen so that a
 seed produces the same sequence on every platform and every run. All
 randomness in the project flows from one root seed through ``Rng.spawn``,
 which derives independent sub-streams from string labels.
+
+SplitMix64 is counter-based: draw k of a stream at state s is
+``mix(s + k * GAMMA mod 2**64)``. So ``uniforms`` computes n draws as one
+numpy uint64 array, bit for bit the values of n ``uniform()`` calls, and
+leaves the state where those calls would.
 """
 
 from __future__ import annotations
@@ -15,12 +20,32 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    z = (z ^ (z >> 30)) * _M1 & _MASK
+    z = (z ^ (z >> 27)) * _M2 & _MASK
     return z ^ (z >> 31)
+
+
+_U64 = {k: np.uint64(k) for k in (11, 27, 30, 31, _GAMMA, _M1, _M2)}
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """_mix, in place on a uint64 array; numpy's uint64 products wrap mod 2**64."""
+    z ^= z >> _U64[30]
+    z *= _U64[_M1]
+    z ^= z >> _U64[27]
+    z *= _U64[_M2]
+    z ^= z >> _U64[31]
+    return z
+
+
+def _size(shape) -> tuple[tuple[int, ...], int]:
+    """shape as a tuple (an int n is (n,)) and its element count; () holds one."""
+    shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+    return shape, math.prod(shape)
 
 
 def _fnv1a64(text: str) -> int:
@@ -50,9 +75,15 @@ class Rng:
         return low + (high - low) * (u * (1.0 / (1 << 53)))
 
     def uniforms(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        vals = [self.uniform(low, high) for _ in range(n)]
-        return np.array(vals, dtype=np.float64).reshape(shape)
+        """Array of uniform() draws, taken in C order."""
+        shape, n = _size(shape)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _U64[_GAMMA]
+        z += np.uint64(self._state)
+        u = _mix_array(z)
+        u >>= _U64[11]
+        self._state = (self._state + n * _GAMMA) & _MASK
+        return (low + (high - low) * (u * (1.0 / (1 << 53)))).reshape(shape)
 
     def normal(self) -> float:
         # Box-Muller; one value per pair keeps the stream layout simple.
@@ -64,8 +95,21 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, shape) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        vals = [self.normal() for _ in range(n)]
+        """Array of normal() draws, taken in C order.
+
+        The pairs come from one uniforms() call. math's log and cos are kept
+        per element, since numpy's differ from them in the last bit. A pair
+        that normal() would redraw sends the whole call down the scalar path.
+        """
+        shape, n = _size(shape)
+        start = self._state
+        pairs = self.uniforms((n, 2))
+        if (pairs[:, 0] <= 1e-300).any():
+            self._state = start
+            vals = [self.normal() for _ in range(n)]
+        else:
+            vals = [math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                    for u1, u2 in pairs.tolist()]
         return np.array(vals, dtype=np.float64).reshape(shape)
 
     def randint(self, n: int) -> int:

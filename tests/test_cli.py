@@ -350,7 +350,10 @@ def test_eval_on_an_empty_split_exits_1(tmp_path, capsys):
     ("edge-pred", lambda y: 3, "labels has shape"),
     ("edge-pred", lambda y: [2] + y[1:], "must be 0 or 1, but the data has label 2"),
     ("edge-pred", lambda y: y[:-1] + [-1], "must be 0 or 1, but the data has label -1"),
-], ids=["short-node-labels", "scalar-edge-labels", "edge-label-2", "edge-label--1"])
+    ("node-class", lambda y: [0.7] + y[1:], "node_labels must hold integers, got 0.7"),
+    ("edge-pred", lambda y: y[:-1] + [1.9], "edge_labels must hold integers, got 1.9"),
+], ids=["short-node-labels", "scalar-edge-labels", "edge-label-2", "edge-label--1",
+        "fractional-node-label", "fractional-edge-label"])
 def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task, mutate,
                                                           message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -128,21 +128,48 @@ def test_pattern_deterministic():
 
 def test_tsp_unit_square_perimeter():
     class CornerRng(Rng):
-        def __init__(self):
-            super().__init__(0)
-            self.vals = iter([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+        def uniforms(self, shape, low=0.0, high=1.0):
+            assert shape == (4, 2)  # the city coordinates are the one draw
+            return np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
 
-        def uniform(self, low=0.0, high=1.0):
-            try:
-                return next(self.vals)
-            except StopIteration:
-                return super().uniform(low, high)
-
-    g = gen_tsp_instance(4, 3, CornerRng())
+    g = gen_tsp_instance(4, 3, CornerRng(0))
     assert int(g.edge_labels.sum()) == 8
     perimeter = {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)}
     positive = {tuple(e) for e, y in zip(g.edges, g.edge_labels) if y == 1}
     assert positive == perimeter
+
+
+def loop_tour(coords):
+    """The per-permutation reference loop: first strictly shorter tour wins."""
+    n = coords.shape[0]
+    dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    best_tour, best_len = None, np.inf
+    for perm in itertools.permutations(range(1, n)):
+        if perm[0] > perm[-1]:
+            continue
+        length = dist[0, perm[0]] + dist[perm[-1], 0]
+        for a, b in zip(perm, perm[1:]):
+            length += dist[a, b]
+        if length < best_len:
+            best_tour, best_len = (0,) + perm, length
+    return best_tour, float(best_len)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_brute_force_tour_matches_the_loop(n):
+    for i in range(6 if n < 8 else 3):
+        coords = Rng(40 + n).spawn(f"inst/{i}").uniforms((n, 2))
+        tour, length = brute_force_tour(coords)
+        assert (tour, length) == loop_tour(coords)
+        assert all(type(c) is int for c in tour)
+
+
+def test_brute_force_tour_breaks_a_tie_by_the_smallest_tour():
+    # Cities 1 and 2 coincide, so (0, 1, 2, 3, 4) and (0, 2, 1, 3, 4) tie bit for bit.
+    coords = np.array([[0.0, 0.0], [0.3, 0.9], [0.3, 0.9], [0.8, 0.6], [0.7, 0.1]])
+    tour, length = brute_force_tour(coords)
+    assert (tour, length) == loop_tour(coords)
+    assert tour == (0, 1, 2, 3, 4)
 
 
 def test_tour_length_is_exhaustive_minimum():

@@ -43,6 +43,28 @@ def test_edge_endpoint_validation():
         make_graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("field,values", [
+    ("edges", [[0, 1], [1, 0.5]]),
+    ("node_labels", [0, 0.7, 1]),
+    ("edge_labels", [1.9, 0]),
+    ("node_labels", [0, np.nan, 1]),
+])
+def test_fractional_integer_fields_are_rejected(field, values):
+    kwargs = {"edges": [[0, 1], [1, 0]], field: values}
+    with pytest.raises(ValueError, match=f"{field} must hold integers"):
+        Graph(num_nodes=3, node_features=np.zeros((3, 1)), **kwargs)
+
+
+def test_integral_floats_load_as_int64():
+    g = Graph(num_nodes=3, edges=np.array([[0.0, 1.0], [1.0, 0.0]]),
+              node_features=np.zeros((3, 1)), node_labels=[0.0, 2.0, 1.0],
+              edge_labels=np.array([True, False]))
+    for values in (g.edges, g.node_labels, g.edge_labels):
+        assert values.dtype == np.int64
+    assert g.node_labels.tolist() == [0, 2, 1] and g.edge_labels.tolist() == [1, 0]
+    assert Graph(num_nodes=1, edges=[], node_features=np.zeros((1, 1))).edges.shape == (0, 2)
+
+
 def test_feature_row_validation():
     with pytest.raises(ValueError):
         Graph(num_nodes=3, edges=np.zeros((0, 2)), node_features=np.zeros((2, 1)))

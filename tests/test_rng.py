@@ -91,3 +91,38 @@ def test_sample_distinct():
 def test_sample_validates():
     with pytest.raises(ValueError):
         Rng(0).sample(3, 4)
+
+
+# --- the vector samplers against the scalar stream ----------------------------
+
+@pytest.mark.parametrize("shape", [0, 1, 7, 10_000, (0,), (3, 4), ()])
+@pytest.mark.parametrize("low,high", [(0.0, 1.0), (-2.0, 3.0)])
+def test_uniforms_equal_the_uniform_loop(shape, low, high):
+    ours, theirs = Rng(21), Rng(21)
+    got = ours.uniforms(shape, low, high)
+    n = int(np.prod(shape))
+    expected = np.array([theirs.uniform(low, high) for _ in range(n)]).reshape(shape)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    assert ours.next_u64() == theirs.next_u64()  # the same stream position afterwards
+
+
+@pytest.mark.parametrize("shape", [0, 1, 7, 5_000, (3, 4), ()])
+def test_normals_equal_the_normal_loop(shape):
+    ours, theirs = Rng(22), Rng(22)
+    got = ours.normals(shape)
+    n = int(np.prod(shape))
+    expected = np.array([theirs.normal() for _ in range(n)]).reshape(shape)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert ours.next_u64() == theirs.next_u64()
+
+
+def test_normals_redraw_a_zero_u1_like_the_loop():
+    # mix(0) == 0, so this seed's first draw is exactly 0.0 and Box-Muller must redraw.
+    seed = (-0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+    assert Rng(seed).uniform() == 0.0
+    ours, theirs = Rng(seed), Rng(seed)
+    got = ours.normals((6,))
+    expected = np.array([theirs.normal() for _ in range(6)])
+    assert np.isfinite(got).all() and got.tobytes() == expected.tobytes()
+    assert ours.next_u64() == theirs.next_u64()
