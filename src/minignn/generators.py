@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _int64
 from .rng import Rng
 
 DATASET_FORMAT_VERSION = 1
@@ -356,26 +356,53 @@ def _graph_to_obj(g: Graph, task: str) -> dict:
     return obj
 
 
+def _float64(name: str, values) -> np.ndarray:
+    """values as a float64 array; a string, a null or a non-finite value raises."""
+    arr = np.asarray(values)
+    bad = [] if arr.dtype.kind in "iuf" else \
+        [v for v in arr.ravel().tolist() if type(v) not in (int, float)]
+    if not bad:
+        arr = arr.astype(np.float64)
+        bad = arr[~np.isfinite(arr)].tolist()
+    if bad:
+        raise ValueError(f"{name} must hold finite numbers, got {bad[0]!r}")
+    return arr
+
+
 def _graph_from_obj(obj: dict, task: str) -> Graph:
+    """Graph of one dataset file object, read strictly: a count, an endpoint
+    or a class label is an integer, a feature or target a finite number, and
+    a JSON true or false is neither (numpy would read it as 1 or 0)."""
     try:
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        for key in ("n", "edges", "x", "e", "y"):
+            bools = [v for v in np.asarray(obj.get(key), dtype=object).ravel().tolist()
+                     if type(v) is bool]
+            if bools:
+                raise ValueError(f"{key} must hold numbers, got {bools[0]!r}")
+        check_int("n", obj["n"], 0)
+        edges = _int64("edges", obj["edges"])
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be a list of [src, dst] pairs, got shape {edges.shape}")
         kwargs = {
-            "num_nodes": int(obj["n"]),
-            "edges": obj["edges"],
-            "node_features": np.array(obj["x"], dtype=np.float64),
+            "num_nodes": obj["n"],
+            "edges": edges,
+            "node_features": _float64("x", obj["x"]),
         }
         if "e" in obj:
-            kwargs["edge_features"] = np.array(obj["e"], dtype=np.float64)
+            kwargs["edge_features"] = _float64("e", obj["e"])
         y = obj["y"]
         if task == "node-class":
             kwargs["node_labels"] = y
         elif task == "graph-class":
-            kwargs["graph_label"] = int(y)
+            kwargs["graph_label"] = int(_int64("y", y))
         elif task == "edge-pred":
             kwargs["edge_labels"] = y
         else:
-            kwargs["graph_label"] = float(y)
+            kwargs["graph_label"] = float(_float64("y", y))
         return Graph(**kwargs)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise DatasetError(f"malformed graph object: {err}") from err
 
 

@@ -18,13 +18,17 @@ import numpy as np
 
 
 def _int64(name: str, values) -> np.ndarray:
-    """values as an int64 array; a value that is not an integer raises, not truncates."""
+    """values as an int64 array. A value that is not an integer raises, not
+    truncates: a fraction, a non-finite float, a string or a null. Booleans
+    (a numpy mask) count as 0 and 1."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        floats = arr.astype(np.float64)
-        bad = floats[~(np.isfinite(floats) & (floats == np.floor(floats)))]
-        if bad.size:
-            raise ValueError(f"{name} must hold integers, got {bad[0]}")
+    if arr.dtype.kind not in "iub":
+        if arr.dtype.kind == "f":
+            bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))].tolist()
+        else:
+            bad = [v for v in arr.ravel().tolist() if type(v) is not int]
+        if bad:
+            raise ValueError(f"{name} must hold integers, got {bad[0]!r}")
     return arr.astype(np.int64, copy=False)
 
 

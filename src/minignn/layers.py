@@ -13,11 +13,13 @@ the products are gathered onto edges: h[idx] @ W == (h @ W)[idx].
 
 Edges are in a canonical order (sorted by destination, then source) from
 the edge encoder onwards: the model indexes the raw edge features once, and
-the gated layers read and return edge embeddings in that order. So all
-per-node sums run over edges in one order, results are independent of edge
-storage order, and node-permutation equivariance is testable at tight
-tolerances. In-degrees live on the view as one column; the gate normaliser
-runs on node rows and is gathered onto edges once.
+the gated layers read edge embeddings and return gate pre-activations in
+that order. So all per-node sums run over edges in one order, results are
+independent of edge storage order, and node-permutation equivariance is
+testable at tight tolerances. In-degrees live on the view as one column.
+The gate normaliser stays on node rows too: it multiplies each node's sum
+of gated messages, since sum(s_i / D * m_i) == sum(s_i * m_i) / D, so no
+edge row carries it.
 """
 
 from __future__ import annotations
@@ -160,11 +162,14 @@ class GatedGcnLayer:
 
     Gate pre-activation per edge (v -> u): A h_u + B h_v + C e_uv. The
     gate is sigmoid, normalized per destination node by the sum of its
-    incoming sigmoids plus a small constant. The node update sums up to
+    incoming sigmoids plus a small constant; the normaliser multiplies the
+    node's sum of gated messages, on node rows. The node update sums up to
     three terms (A h_u, aggregated message, interaction encoding),
-    selectable via ``terms`` for ablations; edge features update as
-    relu(pre-activation) plus the previous edge features, both in canonical
-    edge order.
+    selectable via ``terms`` for ablations. ``forward`` returns the new node
+    embeddings and the gate pre-activation in canonical edge order;
+    ``Model.embeddings`` turns that into the next layer's edge features,
+    relu(pre-activation) plus the previous ones, only where a layer follows,
+    so the last layer computes no edge update.
     """
 
     def __init__(
@@ -197,9 +202,8 @@ class GatedGcnLayer:
         sig = T.sigmoid(e_pre)
         denom = T.add(T.segment_sum(sig, view.dst, view.num_nodes),
                       Tensor(np.full(h.shape[1], GATE_EPS)))
-        alpha = T.mul(sig, T.gather_rows(T.powc(denom, -1.0), view.dst))
-        msg = T.mul(alpha, T.gather_rows(T.matmul(h, self.F), view.src))
-        total = T.segment_sum(msg, view.dst, view.num_nodes)
+        msg = T.mul(sig, T.gather_rows(T.matmul(h, self.F), view.src))
+        total = T.mul(T.segment_sum(msg, view.dst, view.num_nodes), T.powc(denom, -1.0))
 
         use_self, use_msg, use_enc = self.terms
         parts = [hA] if use_self else []
@@ -210,7 +214,7 @@ class GatedGcnLayer:
         pre = reduce(T.add, parts)  # ModelConfig rejects terms that select no part
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
-        return h_new, T.add(T.relu(e_pre), e)
+        return h_new, e_pre
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out = {
@@ -358,7 +362,9 @@ class Model:
             if isinstance(layer, GcnLayer):
                 h = layer.forward(h, view, training)
             else:
-                h, e = layer.forward(h, e, view, training)
+                h, e_pre = layer.forward(h, e, view, training)
+                if k + 1 < len(self.layers):  # the last layer's edge update feeds nothing
+                    e = T.add(T.relu(e_pre), e)
             T.assert_finite(h, f"layer {k} node output")
         return h, view
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -377,6 +378,60 @@ def test_eval_on_labels_that_do_not_fit_the_graph_exits_1(tmp_path, capsys, task
     assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
+
+DENSITY = ("graph-class", "density", {"n_nodes": 6, "p_sparse": 0.1, "p_dense": 0.6})
+
+
+@pytest.fixture(scope="module")
+def one_epoch_run(tmp_path_factory):
+    """(checkpoint path, dataset file text) of a 1-epoch run, made once per dataset."""
+    made = {}
+
+    def get(data):
+        task, generator, params = data
+        if generator not in made:
+            root = tmp_path_factory.mktemp(generator)
+            path = write_config(root, one_epoch_config(task, generator, params))
+            assert main(["train", "--config", path, "--out", str(root / "run")]) == 0
+            assert main(["gen", "--config", path, "--out", str(root / "data.json")]) == 0
+            made[generator] = (str(root / "run" / "checkpoint_seed1.json"),
+                               (root / "data.json").read_text())
+        return made[generator]
+
+    return get
+
+
+@pytest.mark.parametrize("data,mutate,message", [
+    (DENSITY, lambda g: {**g, "y": 0.7}, "y must hold integers, got 0.7"),
+    (DENSITY, lambda g: {**g, "y": True}, "y must hold numbers, got True"),
+    (DENSITY, lambda g: {**g, "y": "1"}, "y must hold integers, got '1'"),
+    (TRIANGLES, lambda g: {**g, "y": math.nan}, "y must hold finite numbers, got nan"),
+    (TRIANGLES, lambda g: {**g, "y": "2.5"}, "y must hold finite numbers, got '2.5'"),
+    (TRIANGLES, lambda g: {**g, "y": True}, "y must hold numbers, got True"),
+    (PATTERN, lambda g: {**g, "n": g["n"] + 0.5}, "n must be an integer >= 0, got "),
+    (PATTERN, lambda g: {**g, "edges": sum(g["edges"], [])},
+     "edges must be a list of [src, dst] pairs, got shape"),
+    (PATTERN, lambda g: {**g, "y": [str(v) for v in g["y"]]},
+     "node_labels must hold integers, got '"),
+    (PATTERN, lambda g: {**g, "y": [v == 1 for v in g["y"]]},
+     "y must hold numbers, got "),
+    (PATTERN, lambda g: {**g, "x": [[math.nan]] + g["x"][1:]},
+     "x must hold finite numbers, got nan"),
+], ids=["class-y-fraction", "class-y-bool", "class-y-string", "reg-y-nan", "reg-y-string",
+        "reg-y-bool", "fractional-n", "flat-edges", "string-node-labels",
+        "bool-node-labels", "nan-feature"])
+def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_run, data,
+                                                  mutate, message):
+    checkpoint, text = one_epoch_run(data)
+    payload = json.loads(text)
+    payload["splits"]["test"][0] = mutate(payload["splits"]["test"][0])
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 @pytest.mark.parametrize("key,value", [
     ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),

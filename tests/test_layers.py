@@ -172,7 +172,7 @@ def test_nlmi_creates_no_edge_row_tensor(base, monkeypatch):
     assert rows[True].count(view.num_edges) == rows[False].count(view.num_edges)
 
 
-@pytest.mark.parametrize("base,edge_rows", [("gcn", 1), ("gatedgcn", 12)])
+@pytest.mark.parametrize("base,edge_rows", [("gcn", 1), ("gatedgcn", 8)])
 def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
     # Edges stay in canonical order and degrees on the view, so a layer gathers
     # only node rows: no edge permutation and no per-edge degree or normaliser.
@@ -206,6 +206,38 @@ def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
     monkeypatch.undo()
     assert made.count(view.num_edges) == edge_rows
     assert gathered and view.num_edges not in gathered
+
+
+@pytest.mark.parametrize("base,nlmi", [("gcn", False), ("gcn", True),
+                                       ("gatedgcn", False), ("gatedgcn", True)])
+def test_model_forward_computes_no_dead_tensor(base, nlmi, monkeypatch):
+    # Every tensor the forward links into the autograd graph feeds the output;
+    # in particular the last gated layer builds no edge update.
+    rng = Rng(35)
+    g = _random_graph(9, rng.spawn("g"), True)
+    cfg = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=2, width=4,
+                      d_in=3, d_edge=2)
+    model = Model(cfg, rng.spawn("m"))
+    linked = []
+    record = T._record
+
+    def recording(out, inputs, backward_fn):
+        out = record(out, inputs, backward_fn)
+        if out.requires_grad:
+            linked.append(out)
+        return out
+
+    monkeypatch.setattr(T, "_record", recording)
+    pred = model.forward(g, training=True)
+    monkeypatch.undo()
+    reached, stack = {pred}, [pred]
+    while stack:
+        for inp in stack.pop().inputs:
+            if inp not in reached:
+                reached.add(inp)
+                stack.append(inp)
+    assert pred in linked
+    assert [t.shape for t in linked if t not in reached] == []
 
 
 # --- edge gating -----------------------------------------------------------------

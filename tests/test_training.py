@@ -394,13 +394,13 @@ PINNED_HISTORIES = {
     "density": (*WEIGHTED_SPLITS["density"],
                 "84e1d638f0a973e8b39cb0e925870cb4f4fe35c2b0e157343d50488d431c4aba"),
     "tsp": (*WEIGHTED_SPLITS["tsp"],
-            "97cdf260bc48371be1c0cf0b247f9f186971d1568f8664b5eba3dadcb5905212"),
+            "6bab2a53ad96230d7fb95ae02462d4e8125f88abb81dd0b9643cd50aa8fd80f5"),
     "triangles": (DatasetSpec(task="graph-reg", generator="triangles",
                               params=dict(n_min=4, n_max=8), n_train=7, n_val=3, n_test=1,
                               seed=3),
                   ModelConfig(task="graph-reg", base="gatedgcn", nlmi=True, k_layers=1,
                               width=4, d_in=1),
-                  "aac80bb7b73828a396b414685bb4562e3c2cb402ecdb88c2b3a211c6822f5258"),
+                  "7a47c7ce273b6d801f04a80c743b7d7cb92625f033ce5f3b023003c466bc75b5"),
 }
 
 
