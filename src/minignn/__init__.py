@@ -6,7 +6,7 @@ task generators with exact label oracles, two convolution families
 verification suite of loop oracles and property harnesses.
 """
 
-from .graph import Graph, GraphBatch, batch
+from .graph import Graph, batch
 from .generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
 from .layers import Model, ModelConfig
 from .rng import Rng
@@ -14,7 +14,7 @@ from .tensor import Tensor, backward, finite_diff_check
 from .training import TrainConfig, train_loop, run_seeds, evaluate
 
 __all__ = [
-    "Graph", "GraphBatch", "batch",
+    "Graph", "batch",
     "DatasetSpec", "generate_dataset", "load_dataset", "save_dataset",
     "Model", "ModelConfig", "Rng", "Tensor", "backward", "finite_diff_check",
     "TrainConfig", "train_loop", "run_seeds", "evaluate",

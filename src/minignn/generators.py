@@ -36,10 +36,12 @@ class ConfigError(ValueError):
     """A config object that does not fit the dataclass it builds."""
 
 
-def check_int(what: str, value, least: int) -> None:
-    """Raise ValueError unless value is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+def check_int(what: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an integer (not a bool), and >= least if given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
 
 
 def check_keys(obj, cls, context: str) -> None:
@@ -278,6 +280,9 @@ def gen_graph_class(
     return Graph(num_nodes=n_nodes, edges=edges, node_features=x, graph_label=int(label))
 
 
+# generator parameter annotation -> accepted value types; a bool is neither
+PARAM_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer)}
+
 GENERATORS = {
     "sbm": (gen_sbm_communities, "node-class"),
     "pattern": (gen_planted_pattern, "node-class"),
@@ -310,6 +315,7 @@ class DatasetSpec:
             )
         for name in ("n_train", "n_val", "n_test"):
             check_int(f"dataset {name}", getattr(self, name), 0)
+        check_int("dataset seed", self.seed)
         if not isinstance(self.params, dict):
             raise ValueError(f"generator params must be an object, got {self.params!r}")
         signature = inspect.signature(fn).parameters
@@ -320,6 +326,12 @@ class DatasetSpec:
         if unknown or missing:
             raise ValueError(f"generator {self.generator!r} params: unknown {unknown}, "
                              f"missing {missing}; it accepts {sorted(accepted)}")
+        for name, value in self.params.items():
+            kind = signature[name].annotation  # a string: this module defers annotations
+            if kind in PARAM_TYPES and (isinstance(value, bool)
+                                        or not isinstance(value, PARAM_TYPES[kind])):
+                raise ValueError(f"generator {self.generator!r} param {name} must be "
+                                 f"of type {kind}, got {value!r}")
 
 
 def generate_dataset(spec: DatasetSpec) -> dict[str, list[Graph]]:
@@ -369,10 +381,11 @@ def _float64(name: str, values) -> np.ndarray:
     return arr
 
 
-def _graph_from_obj(obj: dict, task: str) -> Graph:
+def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
     """Graph of one dataset file object, read strictly: a count, an endpoint
     or a class label is an integer, a feature or target a finite number, and
-    a JSON true or false is neither (numpy would read it as 1 or 0)."""
+    a JSON true or false is neither (numpy would read it as 1 or 0). An error
+    names the object by ``where``, e.g. "test graph 0"."""
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
@@ -402,8 +415,10 @@ def _graph_from_obj(obj: dict, task: str) -> Graph:
         else:
             kwargs["graph_label"] = float(_float64("y", y))
         return Graph(**kwargs)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise DatasetError(f"malformed graph object: {err}") from err
+    except KeyError as err:
+        raise DatasetError(f"malformed {where}: missing key {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise DatasetError(f"malformed {where}: {err}") from err
 
 
 def save_dataset(path, spec: DatasetSpec, splits: dict[str, list[Graph]]) -> None:
@@ -439,8 +454,6 @@ def load_dataset(path) -> tuple[DatasetSpec, dict[str, list[Graph]]]:
         spec = make_config(DatasetSpec, payload.get("spec"), "dataset spec")
     except ValueError as err:
         raise DatasetError(f"malformed dataset file {path}: {err}") from err
-    splits = {
-        name: [_graph_from_obj(obj, spec.task) for obj in graphs]
-        for name, graphs in splits.items()
-    }
-    return spec, splits
+    return spec, {name: [_graph_from_obj(obj, spec.task, f"{name} graph {i}")
+                         for i, obj in enumerate(graphs)]
+                  for name, graphs in splits.items()}

@@ -1,13 +1,13 @@
-"""Graph and GraphBatch containers.
+"""Graph containers, and the batch a forward pass reads.
 
 Edges are directed (src, dst) pairs; messages flow along the edge into
 dst, so the neighbourhood of u is the set of sources of its incoming
 edges. Undirected graphs store both directions. Self-loops are never
 added implicitly.
 
-A Graph carries its labels; a GraphBatch carries only structure and
-features. ``training.labels_of`` reads a task's labels from the graphs
-themselves, in the order they were batched.
+A Graph carries its labels; a batch (a GraphView) carries only structure,
+features and indices. ``training.labels_of`` reads a task's labels from
+the graphs themselves, in the order they were batched.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import Rows
 
 
 def _int64(name: str, values) -> np.ndarray:
@@ -99,42 +101,45 @@ class Graph:
         )
 
 
-@dataclass
-class GraphBatch:
-    """Block-diagonal union of graphs; no edge crosses graph boundaries."""
+class GraphView:
+    """Block-diagonal union of graphs, and the indices one forward pass reads.
 
-    num_graphs: int
-    num_nodes: int
-    edges: np.ndarray
-    node_features: np.ndarray
-    graph_id: np.ndarray  # (num_nodes,) graph index per node
-    edge_features: np.ndarray | None = None
+    Built by ``batch``. ``edges`` and the features are in stored order.
+    ``src``, ``dst`` and ``graph_id`` are ``tensor.Rows``, so every gather,
+    segment sum and backward scatter of all layers shares one flattened
+    index each. ``edge_perm`` takes stored edge rows to canonical ones
+    (sorted by destination, then source); ``in_deg`` is the (n, 1)
+    in-degree column. Repeated forwards of one view share its indices.
+    """
 
-    @property
-    def num_edges(self) -> int:
-        return self.edges.shape[0]
+    def __init__(self, edges: np.ndarray, node_features: np.ndarray,
+                 edge_features: np.ndarray | None, graph_id: np.ndarray, num_graphs: int):
+        n = self.num_nodes = node_features.shape[0]
+        self.num_edges = edges.shape[0]
+        self.num_graphs = num_graphs
+        self.edges = edges
+        self.node_features = node_features
+        self.edge_features = edge_features
+        src, dst = edges.T
+        order = np.lexsort((src, dst))  # canonical row i came from storage row order[i]
+        self.src = Rows(src[order], n)
+        self.dst = Rows(dst[order], n)
+        self.edge_perm = order
+        self.in_deg = np.bincount(dst, minlength=n).astype(float)[:, None]
+        self.graph_id = Rows(graph_id, num_graphs)
 
 
-def batch(graphs: list[Graph]) -> GraphBatch:
+def batch(graphs: list[Graph]) -> GraphView:
     if not graphs:
         raise ValueError("cannot batch an empty list of graphs")
     node_offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
-    edges = np.concatenate(
-        [g.edges + off for g, off in zip(graphs, node_offsets[:-1])], axis=0
-    )
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, node_offsets[:-1])], axis=0)
     x = np.concatenate([g.node_features for g in graphs], axis=0)
     graph_id = np.concatenate(
         [np.full(g.num_nodes, i, dtype=np.int64) for i, g in enumerate(graphs)]
     )
-
     feats = [g.edge_features for g in graphs]
     if len({f is None for f in feats}) > 1:
         raise ValueError("cannot batch graphs with mixed presence of edge features")
-    return GraphBatch(
-        num_graphs=len(graphs),
-        num_nodes=int(node_offsets[-1]),
-        edges=edges,
-        node_features=x,
-        graph_id=graph_id,
-        edge_features=None if feats[0] is None else np.concatenate(feats, axis=0),
-    )
+    return GraphView(edges, x, None if feats[0] is None else np.concatenate(feats, axis=0),
+                     graph_id, len(graphs))

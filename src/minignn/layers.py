@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .generators import TASKS, check_int, make_config
-from .graph import Graph, GraphBatch
+from .graph import Graph, GraphView, batch
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -41,37 +41,6 @@ GATE_EPS = 1e-6
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 CHECKPOINT_VERSION = 1  # Model.load reads only this layout
-
-
-class GraphView:
-    """Precomputed index structure for one forward pass over a graph/batch.
-
-    ``src``, ``dst`` and ``graph_id`` are ``tensor.Rows``: every gather,
-    segment sum and backward scatter of the pass goes through them, so all
-    layers share one flattened index each. ``edge_perm`` takes stored edge
-    rows to canonical ones, and ``in_deg`` is the (n, 1) in-degree column.
-    A view can be passed to ``Model.forward`` in place of its graph, so
-    repeated forwards of one graph share its indices too.
-    """
-
-    def __init__(self, g: Graph | GraphBatch):
-        self.graph = g
-        n = g.num_nodes
-        self.num_nodes = n
-        self.num_edges = g.num_edges
-        src = g.edges[:, 0]
-        dst = g.edges[:, 1]
-        order = np.lexsort((src, dst))  # canonical: by dst, then src
-        self.src = T.Rows(src[order], n)
-        self.dst = T.Rows(dst[order], n)
-        self.edge_perm = order  # canonical row i came from storage row order[i]
-        self.in_deg = np.bincount(dst, minlength=n).astype(float)[:, None]
-        if isinstance(g, GraphBatch):
-            self.num_graphs = g.num_graphs
-            self.graph_id = T.Rows(g.graph_id, g.num_graphs)
-        else:
-            self.num_graphs = 1
-            self.graph_id = T.Rows(np.zeros(n, dtype=np.int64), 1)
 
 
 class Linear:
@@ -211,7 +180,7 @@ class GatedGcnLayer:
             parts.append(total)
         if use_enc and self.encode_interactions:
             parts.append(interaction_encoding(total, self.fc, view.in_deg))
-        pre = reduce(T.add, parts)  # ModelConfig rejects terms that select no part
+        pre = reduce(T.add, parts)  # ModelConfig rejects terms that read no message
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
         return h_new, e_pre
@@ -238,46 +207,39 @@ def mean_pool(h: Tensor, view: GraphView) -> Tensor:
     return T.mul(sums, Tensor(1.0 / counts[:, None]))
 
 
-class NodeClassHead:
-    def __init__(self, d: int, n_classes: int, rng: Rng):
-        self.lin1 = Linear(d, d, rng.spawn("lin1"))
-        self.lin2 = Linear(d, n_classes, rng.spawn("lin2"))
+class MlpHead:
+    """A two-layer MLP readout, lin2(relu(lin1(x))); subclasses pick its rows x."""
 
-    def __call__(self, h: Tensor, view: GraphView) -> Tensor:
-        return self.lin2(T.relu(self.lin1(h)))
-
-    def params(self, prefix):
-        return {**self.lin1.params(f"{prefix}.lin1"), **self.lin2.params(f"{prefix}.lin2")}
-
-
-class GraphHead:
-    """Mean pooling followed by a two-layer MLP (classification or regression)."""
-
-    def __init__(self, d: int, d_out: int, rng: Rng):
-        self.lin1 = Linear(d, d, rng.spawn("lin1"))
+    def __init__(self, d_in: int, d: int, d_out: int, rng: Rng):
+        self.lin1 = Linear(d_in, d, rng.spawn("lin1"))
         self.lin2 = Linear(d, d_out, rng.spawn("lin2"))
 
-    def __call__(self, h: Tensor, view: GraphView) -> Tensor:
-        return self.lin2(T.relu(self.lin1(mean_pool(h, view))))
+    def mlp(self, x: Tensor) -> Tensor:
+        return self.lin2(T.relu(self.lin1(x)))
 
     def params(self, prefix):
         return {**self.lin1.params(f"{prefix}.lin1"), **self.lin2.params(f"{prefix}.lin2")}
 
 
-class EdgeHead:
+class NodeClassHead(MlpHead):
+    def __call__(self, h: Tensor, view: GraphView) -> Tensor:
+        return self.mlp(h)
+
+
+class GraphHead(MlpHead):
+    """Mean pooling followed by the MLP (classification or regression)."""
+
+    def __call__(self, h: Tensor, view: GraphView) -> Tensor:
+        return self.mlp(mean_pool(h, view))
+
+
+class EdgeHead(MlpHead):
     """One logit per stored directed edge from concat(h_src, h_dst)."""
 
-    def __init__(self, d: int, rng: Rng):
-        self.lin1 = Linear(2 * d, d, rng.spawn("lin1"))
-        self.lin2 = Linear(d, 1, rng.spawn("lin2"))
-
     def __call__(self, h: Tensor, view: GraphView) -> Tensor:
-        edges = view.graph.edges  # stored order
-        pair = T.concat_cols(T.gather_rows(h, edges[:, 0]), T.gather_rows(h, edges[:, 1]))
-        return self.lin2(T.relu(self.lin1(pair)))
-
-    def params(self, prefix):
-        return {**self.lin1.params(f"{prefix}.lin1"), **self.lin2.params(f"{prefix}.lin2")}
+        edges = view.edges  # stored order
+        return self.mlp(T.concat_cols(T.gather_rows(h, edges[:, 0]),
+                                      T.gather_rows(h, edges[:, 1])))
 
 
 @dataclass
@@ -307,13 +269,14 @@ class ModelConfig:
             raise ValueError(f"model terms must be a (self, msg, enc) triple of booleans, "
                              f"got {self.terms!r}")
         self.terms = tuple(self.terms)
-        use_self, use_msg, use_enc = self.terms
+        _, use_msg, use_enc = self.terms
         if self.base == "gcn" and self.terms != (True, True, True):
             raise ValueError(f"terms select gatedgcn update terms; base gcn takes only "
                              f"the default [true, true, true], got {list(self.terms)}")
-        if self.base == "gatedgcn" and not (use_self or use_msg or (use_enc and self.nlmi)):
+        if self.base == "gatedgcn" and not (use_msg or (use_enc and self.nlmi)):
+            # the self term alone would leave the gates and the edge stream unread
             raise ValueError(f"terms {list(self.terms)} with nlmi={self.nlmi} select no "
-                             "node-update term")
+                             "node-update term that reads the messages (msg, or enc with nlmi)")
 
 
 class Model:
@@ -337,26 +300,25 @@ class Model:
                 )
         head_rng = rng.spawn("head")
         if config.task == "node-class":
-            self.head = NodeClassHead(d, config.n_classes, head_rng)
+            self.head = NodeClassHead(d, d, config.n_classes, head_rng)
         elif config.task == "graph-class":
-            self.head = GraphHead(d, config.n_classes, head_rng)
+            self.head = GraphHead(d, d, config.n_classes, head_rng)
         elif config.task == "edge-pred":
-            self.head = EdgeHead(d, head_rng)
+            self.head = EdgeHead(2 * d, d, 1, head_rng)
         else:  # graph-reg
-            self.head = GraphHead(d, 1, head_rng)
+            self.head = GraphHead(d, d, 1, head_rng)
 
     # --- forward ---------------------------------------------------------
 
-    def embeddings(self, g: Graph | GraphBatch | GraphView, training: bool = False):
+    def embeddings(self, g: Graph | GraphView, training: bool = False):
         """Final node embeddings and the view they were computed over."""
-        view = g if isinstance(g, GraphView) else GraphView(g)
-        g = view.graph
-        h = self.node_encoder(Tensor(g.node_features))
+        view = g if isinstance(g, GraphView) else batch([g])
+        h = self.node_encoder(Tensor(view.node_features))
         e = None
         if self.edge_encoder is not None:
-            raw = g.edge_features
+            raw = view.edge_features
             if raw is None:
-                raw = np.zeros((g.num_edges, self.config.d_edge))
+                raw = np.zeros((view.num_edges, self.config.d_edge))
             e = self.edge_encoder(Tensor(raw[view.edge_perm]))  # canonical order
         for k, layer in enumerate(self.layers):
             if isinstance(layer, GcnLayer):
@@ -368,7 +330,7 @@ class Model:
             T.assert_finite(h, f"layer {k} node output")
         return h, view
 
-    def forward(self, g: Graph | GraphBatch | GraphView, training: bool = False) -> Tensor:
+    def forward(self, g: Graph | GraphView, training: bool = False) -> Tensor:
         h, view = self.embeddings(g, training)
         return self.head(h, view)
 

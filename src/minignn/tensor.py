@@ -348,7 +348,7 @@ def segment_sum(a: Tensor, idx: Rows | np.ndarray, num_segments: int) -> Tensor:
 
     Rows are accumulated in storage order of a (``Rows.scatter``); callers
     that need a canonical summation order sort their rows first.
-    ``layers.GraphView`` owns the Rows of a graph, so every layer of a batch
+    ``graph.GraphView`` owns the Rows of a batch, so every layer of a batch
     shares their flattened indices.
     """
     rows = _rows(idx, num_segments, "segment_sum")

@@ -18,9 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from .generators import random_edges
-from .graph import Graph
-from .layers import (BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, GraphView, Linear, Model,
-                     ModelConfig)
+from .graph import Graph, batch
+from .layers import BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, Linear, Model, ModelConfig
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -54,7 +53,7 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
     config = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=1,
                          width=d, d_in=3, d_edge=2, n_classes=2)
     model = Model(config, rng.spawn("model"))
-    view = GraphView(g)  # every forward of the check shares g's indices
+    view = batch([g])  # every forward of the check shares g's indices
 
     def f(_x, _model=model, _view=view):
         pred = _model.forward(_view, training=False)

@@ -16,7 +16,8 @@ import pytest
 
 from minignn import tensor as T
 from minignn.generators import DatasetSpec, generate_dataset
-from minignn.layers import GraphView, Linear, Model, ModelConfig, interaction_encoding
+from minignn.graph import batch
+from minignn.layers import Linear, Model, ModelConfig, interaction_encoding
 from minignn.rng import Rng
 from minignn.tensor import Tensor
 from minignn.training import TrainConfig, f1_positive, run_seeds, train_loop, weighted_accuracy
@@ -77,7 +78,7 @@ def test_criterion_2_identity_suite():
 
         msg = Tensor(m)
         total = T.segment_sum(msg, dst, n)
-        enc = interaction_encoding(total, fc, GraphView(g).in_deg)
+        enc = interaction_encoding(total, fc, batch([g]).in_deg)
 
         direct = np.zeros((n, d))
         for ei in range(g.num_edges):

@@ -430,7 +430,7 @@ def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_ru
     capsys.readouterr()
     assert main(["eval", "--checkpoint", checkpoint, "--data", str(path)]) == 1
     err = capsys.readouterr().err
-    assert message in err and "Traceback" not in err
+    assert message in err and "test graph 0" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 @pytest.mark.parametrize("key,value", [
@@ -468,6 +468,14 @@ DELETE = "<delete>"
     ("gen", "dataset.n_train", "3", "n_train"),
     ("train", "model", "gcn", "model must be a JSON object"),
     ("train", "train", 5, "train must be a JSON object"),
+    ("train", "dataset.seed", 1.5, "dataset seed must be an integer"),
+    ("train", "dataset.seed", "x", "dataset seed must be an integer"),
+    ("train", "dataset.seed", True, "dataset seed must be an integer"),
+    ("gen", "dataset.params.n_nodes", "12", "n_nodes must be of type int"),
+    ("gen", "dataset.params.n_nodes", 12.5, "n_nodes must be of type int"),
+    ("gen", "dataset.params.p_in", "0.3", "p_in must be of type float"),
+    ("gen", "dataset.params.n_communities", "2", "n_communities must be of type int"),
+    ("gen", "dataset.params.feature_noise", False, "feature_noise must be of type float"),
 ])
 def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

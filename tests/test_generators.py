@@ -298,6 +298,12 @@ def test_spec_rejects_task_generator_mismatch():
         DatasetSpec(task="graph-reg", generator="sbm")
 
 
+def test_spec_takes_negative_seeds_and_integral_numbers_for_floats():
+    params = dict(SBM_SPEC["params"], n_nodes=np.int64(12), p_in=1)
+    spec = DatasetSpec(**dict(SBM_SPEC, params=params, seed=-3))
+    assert len(generate_dataset(spec)["train"]) == 3
+
+
 def test_splits_use_disjoint_seeds():
     splits = generate_dataset(DatasetSpec(**SBM_SPEC))
     assert not np.array_equal(splits["train"][0].node_features,
@@ -367,6 +373,7 @@ def test_load_version_mismatch(tmp_path):
     ("splits", {"train": 5}, "splits"),
     ("spec", [SBM_SPEC], "spec must be a JSON object"),
     ("spec", dict(SBM_SPEC, bogus=1), "bogus"),
+    ("splits", {"train": [{"edges": [], "x": [], "y": []}]}, "train graph 0: missing key 'n'"),
 ])
 def test_load_malformed_structure(tmp_path, key, value, message):
     payload = {"version": 1, "spec": SBM_SPEC, "splits": {"train": []}}

@@ -23,7 +23,7 @@ def assert_batch_holds(b, graphs):
         n1, e1 = n0 + g.num_nodes, e0 + g.num_edges
         npt.assert_array_equal(b.edges[e0:e1] - n0, g.edges)
         npt.assert_array_equal(b.node_features[n0:n1], g.node_features)
-        npt.assert_array_equal(b.graph_id[n0:n1], np.full(g.num_nodes, i))
+        npt.assert_array_equal(b.graph_id.idx[n0:n1], np.full(g.num_nodes, i))
         if g.edge_features is None:
             assert b.edge_features is None
         else:
@@ -81,7 +81,7 @@ def test_batch_offsets():
     b = batch([g1, g2])
     assert b.num_nodes == 7
     npt.assert_array_equal(b.edges, [[0, 1], [3, 4], [5, 6]])
-    npt.assert_array_equal(b.graph_id, [0, 0, 0, 1, 1, 1, 1])
+    npt.assert_array_equal(b.graph_id.idx, [0, 0, 0, 1, 1, 1, 1])
 
 
 def test_batch_roundtrip_many():
@@ -106,7 +106,7 @@ def test_batch_block_diagonal():
     g2 = make_graph(4, [(0, 1)])
     b = batch([g1, g2])
     for s, d in b.edges:
-        assert b.graph_id[s] == b.graph_id[d]
+        assert b.graph_id.idx[s] == b.graph_id.idx[d]
 
 
 def test_batch_rejects_mixed_fields():

@@ -6,9 +6,8 @@ import pytest
 
 from minignn import tensor as T
 from minignn.graph import Graph, batch
-from minignn.layers import (BN_EPS, GATE_EPS, BatchNorm, GatedGcnLayer, GcnLayer,
-                            GraphView, Linear, Model, ModelConfig,
-                            interaction_encoding, mean_pool)
+from minignn.layers import (BN_EPS, GATE_EPS, BatchNorm, GatedGcnLayer, GcnLayer, Linear,
+                            Model, ModelConfig, interaction_encoding, mean_pool)
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
 from minignn.verify import _random_graph, subtract_form_encoding
@@ -31,14 +30,14 @@ def test_gcn_star_graph_mean_of_equal_vectors():
     g = Graph(num_nodes=5, edges=np.array(edges), node_features=np.ones((5, 3)))
     layer = GcnLayer(3, Rng(1), encode_interactions=False)
     layer.W.data = np.eye(3)
-    out = layer.forward(Tensor(g.node_features), GraphView(g), training=False)
+    out = layer.forward(Tensor(g.node_features), batch([g]), training=False)
     npt.assert_array_equal(out.data[0], np.ones(3))  # 4 * 0.25 * 1
 
 
 def test_gcn_isolated_node_gets_zero():
     g = simple_graph(3, [(0, 1)], d_in=4)
     layer = GcnLayer(4, Rng(2), encode_interactions=False)
-    out = layer.forward(Tensor(g.node_features), GraphView(g), training=False)
+    out = layer.forward(Tensor(g.node_features), batch([g]), training=False)
     npt.assert_array_equal(out.data[2], np.zeros(4))
     npt.assert_array_equal(out.data[0], np.zeros(4))  # no incoming edges either
 
@@ -49,7 +48,7 @@ def test_gcn_two_node_swap_with_identity_weights():
     layer.W.data = np.eye(3)
     layer.fc.weight.data = np.zeros_like(layer.fc.weight.data)
     layer.fc.bias.data = np.zeros_like(layer.fc.bias.data)
-    out = layer.forward(Tensor(g.node_features), GraphView(g), training=False)
+    out = layer.forward(Tensor(g.node_features), batch([g]), training=False)
     npt.assert_array_equal(out.data[0], np.maximum(g.node_features[1], 0.0))
     npt.assert_array_equal(out.data[1], np.maximum(g.node_features[0], 0.0))
 
@@ -60,7 +59,7 @@ def test_gcn_messages_match_naive_loop():
     d = 4
     layer = GcnLayer(d, rng.spawn("layer"), encode_interactions=False)
     h = rng.normals((6, d))
-    out = layer.forward(Tensor(h), GraphView(g), training=False)
+    out = layer.forward(Tensor(h), batch([g]), training=False)
     expected = np.zeros((6, d))
     for u in range(6):
         nbrs = sorted(int(s) for s, dst in g.edges if dst == u)
@@ -145,7 +144,7 @@ def test_closed_form_encoding_matches_the_subtract_form(as_rows):
 def test_nlmi_creates_no_edge_row_tensor(base, monkeypatch):
     rng = Rng(31)
     g = _random_graph(9, rng.spawn("g"), True)
-    view = GraphView(g)
+    view = batch([g])
     assert view.num_edges != view.num_nodes
     h = Tensor(rng.normals((9, 4)), requires_grad=True)
     e = Tensor(rng.normals((g.num_edges, 4)), requires_grad=True)
@@ -178,7 +177,7 @@ def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
     # only node rows: no edge permutation and no per-edge degree or normaliser.
     rng = Rng(33)
     g = _random_graph(9, rng.spawn("g"), True)
-    view = GraphView(g)
+    view = batch([g])
     assert view.num_edges != view.num_nodes
     h = Tensor(rng.normals((9, 4)), requires_grad=True)
     e = Tensor(rng.normals((g.num_edges, 4)), requires_grad=True)
@@ -252,7 +251,7 @@ def gated_setup(edges, n, d=3, seed=8):
 
 
 def _gates(layer, g):
-    view = GraphView(g)
+    view = batch([g])
     h = Tensor(g.node_features)
     e = Tensor(g.edge_features)
     hu = T.gather_rows(h, view.dst)
@@ -388,7 +387,7 @@ def test_zero_depth_model_is_readout_of_encoded_inputs():
     with T.no_grad():
         pred = model.forward(g)
         h = model.node_encoder(Tensor(g.node_features))
-        expected = model.head(h, GraphView(g))
+        expected = model.head(h, batch([g]))
     npt.assert_array_equal(pred.data, expected.data)
 
 
@@ -396,13 +395,13 @@ def test_zero_depth_model_is_readout_of_encoded_inputs():
                                        ("gatedgcn", "graph-class")])
 def test_reused_view_gives_the_graphs_forward_and_gradients(base, task):
     rng = Rng(23)
-    g = batch([_random_graph(n, rng.spawn(f"g/{n}"), True) for n in (5, 6)])
+    graphs = [_random_graph(n, rng.spawn(f"g/{n}"), True) for n in (5, 6)]
     cfg = ModelConfig(task=task, base=base, nlmi=True, k_layers=2, width=4, d_in=3,
                       d_edge=2)
     model = Model(cfg, rng.spawn("m"))
-    view = GraphView(g)
+    view = batch(graphs)
     runs = []
-    for arg in (g, view, view):  # the second forward of the view reuses its cached indices
+    for arg in (batch(graphs), view, view):  # the view's second forward reuses its cached indices
         model.zero_grads()
         pred = model.forward(arg, training=True)
         backward(T.sum_all(T.mul(pred, pred)))
@@ -429,14 +428,14 @@ def test_nan_input_fails_with_layer_index():
 def test_mean_pool_of_identical_embeddings():
     g = simple_graph(4, [(0, 1)], d_in=2)
     h = Tensor(np.tile(np.array([[1.5, -2.0]]), (4, 1)))
-    pooled = mean_pool(h, GraphView(g))
+    pooled = mean_pool(h, batch([g]))
     npt.assert_allclose(pooled.data, [[1.5, -2.0]], atol=1e-15)
 
 
 def test_mean_pool_single_node_identity():
     g = Graph(num_nodes=1, edges=np.zeros((0, 2)), node_features=np.ones((1, 3)))
     h = Tensor(np.array([[0.2, -0.4, 7.0]]))
-    pooled = mean_pool(h, GraphView(g))
+    pooled = mean_pool(h, batch([g]))
     npt.assert_array_equal(pooled.data, h.data)
 
 
@@ -499,7 +498,9 @@ def test_checkpoint_stat_shape_mismatch_rejected_before_any_load():
 
 
 @pytest.mark.parametrize("terms,nlmi", [((False, False, False), True),
-                                        ((False, False, True), False)])
+                                        ((False, False, True), False),
+                                        ((True, False, False), True),
+                                        ((True, False, True), False)])
 def test_config_selecting_no_node_update_term_rejected(terms, nlmi):
     with pytest.raises(ValueError, match="no node-update term"):
         ModelConfig(task="node-class", base="gatedgcn", nlmi=nlmi, terms=terms)

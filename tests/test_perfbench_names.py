@@ -9,7 +9,7 @@ back afterwards.
 import importlib.util
 from pathlib import Path
 
-from minignn import cli, generators, layers, tensor, training
+from minignn import cli, generators, graph, layers, tensor, training
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -24,7 +24,8 @@ def load_tracing():
 # A sample of the wrapped names, from each kind of owner install patches.
 SAMPLE = ((tensor, "backward"), (tensor, "matmul"), (cli, "finite_diff_check"),
           (layers.GcnLayer, "forward"), (training.Adam, "step"),
-          (training, "make_batch"), (cli, "main"))
+          (training, "make_batch"), (cli, "main"), (layers.GraphView, "__init__"),
+          (graph, "batch"))
 
 
 def test_tracing_install_finds_every_name_and_restores_them():
