@@ -62,6 +62,13 @@ def make_config(cls, obj, context: str):
         raise ConfigError(f"bad {context} config: {err}") from err
 
 
+def _need_range(name: str, value, low, high=np.inf) -> None:
+    """Raise unless low <= value <= high and value is finite (a NaN fails every comparison)."""
+    if not (low <= value <= high and value != np.inf):
+        bound = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+        raise ValueError(f"need {name} {bound}, got {value}")
+
+
 def _both_directions(adj: np.ndarray) -> np.ndarray:
     """Directed edge array of the pairs marked in a boolean (n, n) adjacency,
     each in both directions, lexicographically sorted."""
@@ -119,6 +126,9 @@ def gen_sbm_communities(
         raise ValueError(f"need 0 <= p_intra < p_in <= 1, got {p_intra}, {p_in}")
     if n_communities < 2:
         raise ValueError(f"need at least 2 communities, got {n_communities}")
+    _need_range("n_nodes", n_nodes, 1)
+    _need_range("hint_fraction", hint_fraction, 0.0, 1.0)
+    _need_range("feature_noise", feature_noise, 0.0)
     # Contiguous, near-equal blocks: node i belongs to community labels[i].
     sizes = [n_nodes // n_communities] * n_communities
     for i in range(n_nodes % n_communities):
@@ -250,6 +260,8 @@ def gen_graph_regression(
     """Random connected graph; target is the closed-form statistic above."""
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}, {n_max}")
+    _need_range("extra_edge_p", extra_edge_p, 0.0, 1.0)
+    _need_range("noise_sigma", noise_sigma, 0.0)
     n = n_min + rng.randint(n_max - n_min + 1)
     tree = {(rng.randint(v), v) for v in range(1, n)}  # a random spanning tree keeps it connected
     edges = random_edges(n, extra_edge_p, rng, fixed=tree)
@@ -274,6 +286,7 @@ def gen_graph_class(
     """ER graph, label 0 with edge probability p_sparse, label 1 with p_dense."""
     if not 0.0 <= p_sparse < p_dense <= 1.0:
         raise ValueError(f"need 0 <= p_sparse < p_dense <= 1, got {p_sparse}, {p_dense}")
+    _need_range("n_nodes", n_nodes, 1)
     label = rng.randint(2)
     edges = random_edges(n_nodes, p_dense if label else p_sparse, rng)
     x = np.ones((n_nodes, 1))
@@ -368,9 +381,21 @@ def _graph_to_obj(g: Graph, task: str) -> dict:
     return obj
 
 
+def _no_bools(name: str, values) -> None:
+    """Raise if values hold a JSON true or false, which numpy reads as 1 or 0."""
+    bools = [v for v in np.asarray(values, dtype=object).ravel().tolist() if type(v) is bool]
+    if bools:
+        raise ValueError(f"{name} must hold numbers, got {bools[0]!r}")
+
+
 def _float64(name: str, values) -> np.ndarray:
-    """values as a float64 array; a string, a null or a non-finite value raises."""
-    arr = np.asarray(values)
+    """values as a float64 array; a boolean, a string, a null, a non-finite
+    value or a ragged list raises, naming ``name``."""
+    _no_bools(name, values)
+    try:
+        arr = np.asarray(values)
+    except ValueError as err:  # a ragged list
+        raise ValueError(f"{name} must be a rectangular array of numbers") from err
     bad = [] if arr.dtype.kind in "iuf" else \
         [v for v in arr.ravel().tolist() if type(v) not in (int, float)]
     if not bad:
@@ -389,11 +414,8 @@ def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-        for key in ("n", "edges", "x", "e", "y"):
-            bools = [v for v in np.asarray(obj.get(key), dtype=object).ravel().tolist()
-                     if type(v) is bool]
-            if bools:
-                raise ValueError(f"{key} must hold numbers, got {bools[0]!r}")
+        for key in ("edges", "y"):  # integer reads; check_int and _float64 sweep the rest
+            _no_bools(key, obj.get(key))
         check_int("n", obj["n"], 0)
         edges = _int64("edges", obj["edges"])
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):

@@ -6,10 +6,11 @@ additionally encode, for every incoming message, the interaction between
 that message and the aggregated message of the remaining neighbours: each
 per-edge message m is concatenated with (total - m) and passed through a
 per-layer affine encoder; the encoded vectors are summed per node and
-added to the aggregated message. The encoder is affine, so that sum is
-T·W1 + (k-1)·T·W2 + k·b for a node with message total T and in-degree k,
-computed on node rows. Every dense weight multiplies node rows too, before
-the products are gathered onto edges: h[idx] @ W == (h @ W)[idx].
+added to the aggregated message; a layer that does not encode holds no
+encoder. The encoder is affine, so that sum is T·W1 + (k-1)·T·W2 + k·b for
+a node with message total T and in-degree k, computed on node rows. Every
+dense weight multiplies node rows too, before the products are gathered
+onto edges: h[idx] @ W == (h @ W)[idx].
 
 Edges are in a canonical order (sorted by destination, then source) from
 the edge encoder onwards: the model indexes the raw edge features once, and
@@ -30,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .generators import TASKS, check_int, make_config
+from .generators import TASKS, _float64, check_int, make_config
 from .graph import Graph, GraphView, batch
 from .rng import Rng
 from . import tensor as T
@@ -41,6 +42,7 @@ GATE_EPS = 1e-6
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 CHECKPOINT_VERSION = 1  # Model.load reads only this layout
+SECTIONS = (("params", True), ("stats", False))  # checkpoint section, requires_grad
 
 
 class Linear:
@@ -54,18 +56,19 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
+    def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 class BatchNorm:
-    """Per-feature normalization over the node axis with running statistics."""
+    """Per-feature normalization over the node axis with running statistics,
+    which are Tensors without requires_grad, so no optimizer sees them."""
 
     def __init__(self, d: int):
         self.gamma = Tensor(np.ones(d), requires_grad=True)
         self.beta = Tensor(np.zeros(d), requires_grad=True)
-        self.running_mean = np.zeros(d)
-        self.running_var = np.ones(d)
+        self.running_mean = Tensor(np.zeros(d))
+        self.running_var = Tensor(np.ones(d))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
@@ -73,19 +76,13 @@ class BatchNorm:
             mean = T.scale(T.sum_rows(x), 1.0 / n)
             xc = T.sub(x, mean)
             var = T.scale(T.sum_rows(T.mul(xc, xc)), 1.0 / n)
-            self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean.data
-            self.running_var = (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var.data
+            for stat, batch_stat in ((self.running_mean, mean), (self.running_var, var)):
+                stat.data = (1.0 - BN_MOMENTUM) * stat.data + BN_MOMENTUM * batch_stat.data
         else:
-            xc = T.sub(x, Tensor(self.running_mean))
-            var = Tensor(self.running_var)
+            xc = T.sub(x, self.running_mean)
+            var = self.running_var
         inv_std = T.powc(T.add(var, Tensor(np.full(var.shape, BN_EPS))), -0.5)
         return T.add(T.mul(T.mul(xc, inv_std), self.gamma), self.beta)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
-    def stats(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 def interaction_encoding(total: Tensor, fc: Linear, deg: np.ndarray) -> Tensor:
@@ -99,13 +96,18 @@ def interaction_encoding(total: Tensor, fc: Linear, deg: np.ndarray) -> Tensor:
     return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), Tensor(deg))
 
 
+def _encoder_tensors(fc: Linear | None, prefix: str) -> dict[str, Tensor]:
+    return {} if fc is None else fc.tensors(f"{prefix}.fc")
+
+
 class GcnLayer:
     """Mean-of-neighbours convolution, optionally with interaction encoding."""
 
     def __init__(self, d: int, rng: Rng, encode_interactions: bool):
         bound = 1.0 / np.sqrt(d)
         self.W = Tensor(rng.uniforms((d, d), -bound, bound), requires_grad=True)
-        self.fc = Linear(2 * d, d, rng.spawn("fc"))
+        # the encoder exists only where it encodes; its own sub-stream leaves W's draws alone
+        self.fc = Linear(2 * d, d, rng.spawn("fc")) if encode_interactions else None
         self.encode_interactions = encode_interactions
 
     def forward(self, h: Tensor, view: GraphView, training: bool) -> Tensor:
@@ -113,17 +115,12 @@ class GcnLayer:
         total = T.mul(T.segment_sum(msgs, view.dst, view.num_nodes),
                       Tensor(1.0 / np.maximum(view.in_deg, 1.0)))  # sum of h_v W / k
         pre = total
-        if self.encode_interactions:
+        if self.fc is not None:
             pre = T.add(pre, interaction_encoding(total, self.fc, view.in_deg))
         return T.relu(pre)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.W": self.W}
-        out.update(self.fc.params(f"{prefix}.fc"))
-        return out
-
-    def stats(self):
-        return {}
+    def tensors(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.W": self.W, **_encoder_tensors(self.fc, prefix)}
 
 
 class GatedGcnLayer:
@@ -157,7 +154,7 @@ class GatedGcnLayer:
         self.B = mat("B")
         self.C = mat("C")
         self.F = mat("F")
-        self.fc = Linear(2 * d, d, rng.spawn("fc"))
+        self.fc = Linear(2 * d, d, rng.spawn("fc")) if encode_interactions and terms[2] else None
         self.bn = BatchNorm(d)
         self.encode_interactions = encode_interactions
         self.terms = terms
@@ -174,30 +171,26 @@ class GatedGcnLayer:
         msg = T.mul(sig, T.gather_rows(T.matmul(h, self.F), view.src))
         total = T.mul(T.segment_sum(msg, view.dst, view.num_nodes), T.powc(denom, -1.0))
 
-        use_self, use_msg, use_enc = self.terms
+        use_self, use_msg, _ = self.terms
         parts = [hA] if use_self else []
         if use_msg:
             parts.append(total)
-        if use_enc and self.encode_interactions:
+        if self.fc is not None:
             parts.append(interaction_encoding(total, self.fc, view.in_deg))
         pre = reduce(T.add, parts)  # ModelConfig rejects terms that read no message
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
         return h_new, e_pre
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out = {
-            f"{prefix}.A": self.A,
-            f"{prefix}.B": self.B,
-            f"{prefix}.C": self.C,
-            f"{prefix}.F": self.F,
-        }
-        out.update(self.fc.params(f"{prefix}.fc"))
-        out.update(self.bn.params(f"{prefix}.bn"))
-        return out
-
-    def stats(self):
-        return self.bn.stats()
+    def tensors(self, prefix: str) -> dict[str, Tensor]:
+        """The weights, then the batch norm's; its statistics are keyed on the
+        layer (``layers.k.running_mean``), as checkpoints store them."""
+        bn = self.bn
+        return {f"{prefix}.A": self.A, f"{prefix}.B": self.B, f"{prefix}.C": self.C,
+                f"{prefix}.F": self.F, **_encoder_tensors(self.fc, prefix),
+                f"{prefix}.bn.gamma": bn.gamma, f"{prefix}.bn.beta": bn.beta,
+                f"{prefix}.running_mean": bn.running_mean,
+                f"{prefix}.running_var": bn.running_var}
 
 
 def mean_pool(h: Tensor, view: GraphView) -> Tensor:
@@ -217,8 +210,8 @@ class MlpHead:
     def mlp(self, x: Tensor) -> Tensor:
         return self.lin2(T.relu(self.lin1(x)))
 
-    def params(self, prefix):
-        return {**self.lin1.params(f"{prefix}.lin1"), **self.lin2.params(f"{prefix}.lin2")}
+    def tensors(self, prefix: str) -> dict[str, Tensor]:
+        return {**self.lin1.tensors(f"{prefix}.lin1"), **self.lin2.tensors(f"{prefix}.lin2")}
 
 
 class NodeClassHead(MlpHead):
@@ -336,56 +329,56 @@ class Model:
 
     # --- parameters and checkpoints ---------------------------------------
 
-    def params(self) -> dict[str, Tensor]:
-        out = self.node_encoder.params("node_encoder")
+    def tensors(self) -> dict[str, Tensor]:
+        """Every parameter and running statistic, under its checkpoint key."""
+        out = self.node_encoder.tensors("node_encoder")
         if self.edge_encoder is not None:
-            out.update(self.edge_encoder.params("edge_encoder"))
+            out.update(self.edge_encoder.tensors("edge_encoder"))
         for k, layer in enumerate(self.layers):
-            out.update(layer.params(f"layers.{k}"))
-        out.update(self.head.params("head"))
+            out.update(layer.tensors(f"layers.{k}"))
+        out.update(self.head.tensors("head"))
         return out
+
+    def params(self) -> dict[str, Tensor]:
+        return {key: t for key, t in self.tensors().items() if t.requires_grad}
 
     def zero_grads(self) -> None:
         for p in self.params().values():
             p.zero_grad()
 
     def state(self) -> dict:
-        state = {
+        tensors = self.tensors()
+        return {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
-            "params": {k: v.data.tolist() for k, v in self.params().items()},
-            "stats": {
-                f"layers.{k}.{name}": arr.tolist()
-                for k, layer in enumerate(self.layers)
-                for name, arr in layer.stats().items()
-            },
+            **{section: {key: t.data.tolist() for key, t in tensors.items()
+                         if t.requires_grad == learned}
+               for section, learned in SECTIONS},
         }
-        return state
 
     def load_state(self, state: dict) -> None:
-        """Load every parameter and statistic; keys and shapes must equal the model's."""
-        params = {key: (p, "data") for key, p in self.params().items()}
-        stats = {
-            f"layers.{k}.{name}": (layer.bn, name)
-            for k, layer in enumerate(self.layers)
-            for name in layer.stats()
-        }
-        loads = []  # checked in full before anything is assigned
-        for kind, have, want in (("param", state.get("params", {}), params),
-                                 ("stat", state.get("stats", {}), stats)):
-            missing = sorted(set(want) - set(have))
-            unknown = sorted(set(have) - set(want))
+        """Load every parameter and statistic. Each section's keys and each
+        value's shape must equal the model's, and each value is read as strictly
+        as a dataset feature, all before anything is assigned."""
+        tensors = self.tensors()
+        loads = {}
+        for section, learned in SECTIONS:
+            have = state.get(section)
+            if not isinstance(have, dict):
+                raise ValueError(f"checkpoint {section} must be a JSON object, got {have!r:.40}")
+            want = {key for key, t in tensors.items() if t.requires_grad == learned}
+            missing, unknown = sorted(want - set(have)), sorted(set(have) - want)
             if missing or unknown:
-                raise ValueError(f"checkpoint {kind} keys do not match the model: "
+                raise ValueError(f"checkpoint {section} keys do not match the model: "
                                  f"missing {missing}, unknown {unknown}")
             for key, vals in have.items():
-                owner, name = want[key]
-                arr = np.array(vals, dtype=np.float64)
-                if arr.shape != getattr(owner, name).shape:
+                arr = loads[key] = _float64(f"checkpoint {key}", vals)
+                if arr.shape != tensors[key].shape:
                     raise ValueError(f"checkpoint shape mismatch for {key}")
-                loads.append((owner, name, arr))
-        for owner, name, arr in loads:
-            setattr(owner, name, arr)
+                if key.endswith(".running_var") and np.any(arr < 0.0):
+                    raise ValueError(f"checkpoint {key} must be >= 0, got {float(arr.min())}")
+        for key, arr in loads.items():
+            tensors[key].data = arr
 
     @classmethod
     def load(cls, path) -> "Model":

@@ -112,7 +112,7 @@ def _gcn_layer_naive(h: np.ndarray, g: Graph, layer: GcnLayer) -> np.ndarray:
         total = np.zeros(h.shape[1])
         for m in msgs:
             total = total + m
-        if layer.encode_interactions:
+        if layer.fc is not None:
             total = total + _naive_encoding(msgs, layer.fc)
         out[u] = total
     return np.maximum(out, 0.0)
@@ -128,8 +128,7 @@ def _gated_layer_naive(h: np.ndarray, e: np.ndarray, g: Graph,
         e_pre[ei] = h[dn] @ A + h[s] @ B + e[ei] @ C
     sig = 1.0 / (1.0 + np.exp(-e_pre))
 
-    use_self, use_msg, use_enc = layer.terms
-    use_enc = use_enc and layer.encode_interactions
+    use_self, use_msg, _ = layer.terms
     pre = np.zeros_like(h)
     for u in range(g.num_nodes):
         pairs = inc[u]
@@ -145,12 +144,12 @@ def _gated_layer_naive(h: np.ndarray, e: np.ndarray, g: Graph,
             acc = acc + h[u] @ A
         if use_msg:
             acc = acc + total
-        if use_enc:
+        if layer.fc is not None:
             acc = acc + _naive_encoding(msgs, layer.fc)
         pre[u] = acc
 
     bn = layer.bn
-    normed = (pre - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
+    normed = (pre - bn.running_mean.data) / np.sqrt(bn.running_var.data + BN_EPS)
     normed = normed * bn.gamma.data + bn.beta.data
     h_new = np.maximum(normed, 0.0) + h
     e_new = np.maximum(e_pre, 0.0) + e
@@ -222,7 +221,8 @@ def edge_order_harness(model: Model, g: Graph, n_shuffles: int, rng: Rng) -> flo
 
 
 def make_zero_encoder_twin(base: Model) -> Model:
-    """Clone a base model into its interaction-encoding variant with fc = 0.
+    """Clone a base model's parameters and statistics into its
+    interaction-encoding variant, whose encoders fc are zero.
 
     The twin computes the encoding path explicitly, but with zero encoder
     parameters its output must match the base model exactly.
@@ -230,16 +230,9 @@ def make_zero_encoder_twin(base: Model) -> Model:
     config = base.config
     twin_config = replace(config, nlmi=True, terms=(config.terms[0], config.terms[1], True))
     twin = Model(twin_config, Rng(0))
-    bp = base.params()
-    for name, p in twin.params().items():
-        if ".fc." in name:
-            p.data = np.zeros(p.shape)
-        else:
-            p.data = bp[name].data.copy()
-    for lb, lt in zip(base.layers, twin.layers):
-        if isinstance(lb, GatedGcnLayer):
-            lt.bn.running_mean = lb.bn.running_mean.copy()
-            lt.bn.running_var = lb.bn.running_var.copy()
+    copied = base.tensors()
+    for name, t in twin.tensors().items():
+        t.data = np.zeros(t.shape) if ".fc." in name else copied[name].data.copy()
     return twin
 
 

@@ -174,6 +174,50 @@ def test_eval_checkpoint_with_a_wrong_stat_shape_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.fixture(scope="module")
+def gated_run(tmp_path_factory):
+    """(checkpoint object, dataset path) of a 1-layer gatedgcn run on BASE_CONFIG."""
+    root = tmp_path_factory.mktemp("gated")
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"]["base"] = "gatedgcn"
+    path = write_config(root, cfg)
+    assert main(["train", "--config", path, "--out", str(root / "run"), "--seed", "1"]) == 0
+    assert main(["gen", "--config", path, "--out", str(root / "data.json")]) == 0
+    return json.loads((root / "run" / "checkpoint_seed1.json").read_text()), root / "data.json"
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("stats", None, None, "checkpoint stats must be a JSON object, got None"),
+    ("params", "layers.0.A", [[None] * 4] * 4,
+     "checkpoint layers.0.A must hold finite numbers, got None"),
+    ("params", "layers.0.A", [[math.nan] * 4] * 4,
+     "checkpoint layers.0.A must hold finite numbers, got nan"),
+    ("params", "layers.0.A", [[True] * 4] * 4,
+     "checkpoint layers.0.A must hold numbers, got True"),
+    ("params", "layers.0.A", "x", "checkpoint layers.0.A must hold finite numbers, got 'x'"),
+    ("params", "layers.0.A", [[0.0] * 4] * 3 + [[0.0]],
+     "checkpoint layers.0.A must be a rectangular array of numbers"),
+    ("stats", "layers.0.running_var", [1.0, -0.5, 1.0, 1.0],
+     "checkpoint layers.0.running_var must be >= 0, got -0.5"),
+], ids=["null-stats", "null-values", "nan-value", "bool-values", "string-value",
+        "ragged-values", "negative-running-var"])
+def test_eval_on_a_malformed_checkpoint_exits_1(tmp_path, capsys, gated_run, section, key,
+                                                value, message):
+    ckpt, data = gated_run
+    ckpt = json.loads(json.dumps(ckpt))  # a copy: the run is shared by every case
+    if key is None:
+        ckpt[section] = value
+    else:
+        ckpt[section][key] = value
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_train_with_no_node_update_term_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG)
     code = main(["train", "--config", cfg, "--out", str(tmp_path / "r"),
@@ -417,9 +461,11 @@ def one_epoch_run(tmp_path_factory):
      "y must hold numbers, got "),
     (PATTERN, lambda g: {**g, "x": [[math.nan]] + g["x"][1:]},
      "x must hold finite numbers, got nan"),
+    (PATTERN, lambda g: {**g, "x": [[]] + g["x"][1:]}, "x must be a rectangular array"),
+    (PATTERN, lambda g: {**g, "x": [[True]] + g["x"][1:]}, "x must hold numbers, got True"),
 ], ids=["class-y-fraction", "class-y-bool", "class-y-string", "reg-y-nan", "reg-y-string",
         "reg-y-bool", "fractional-n", "flat-edges", "string-node-labels",
-        "bool-node-labels", "nan-feature"])
+        "bool-node-labels", "nan-feature", "ragged-features", "bool-feature"])
 def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_run, data,
                                                   mutate, message):
     checkpoint, text = one_epoch_run(data)
@@ -451,6 +497,12 @@ def test_invalid_model_config_exits_1(tmp_path, capsys, key, value):
 DELETE = "<delete>"
 
 
+def dataset_with(data, **params):
+    """The dataset section of a 1-epoch run on data, with params overridden."""
+    task, generator, base = data
+    return one_epoch_config(task, generator, {**base, **params})["dataset"]
+
+
 @pytest.mark.parametrize("command,path,value,message", [
     ("train", "dataset", DELETE, "no dataset section"),
     ("gen", "dataset", DELETE, "no dataset section"),
@@ -476,6 +528,19 @@ DELETE = "<delete>"
     ("gen", "dataset.params.p_in", "0.3", "p_in must be of type float"),
     ("gen", "dataset.params.n_communities", "2", "n_communities must be of type int"),
     ("gen", "dataset.params.feature_noise", False, "feature_noise must be of type float"),
+    ("gen", "dataset.params.n_nodes", 0, "need n_nodes >= 1, got 0"),
+    ("train", "dataset.params.n_nodes", 0, "need n_nodes >= 1, got 0"),
+    ("gen", "dataset.params.n_nodes", -3, "need n_nodes >= 1, got -3"),
+    ("gen", "dataset.params.hint_fraction", 2, "need hint_fraction in [0.0, 1.0], got 2"),
+    ("gen", "dataset.params.hint_fraction", -0.25, "need hint_fraction in [0.0, 1.0], got -0.25"),
+    ("gen", "dataset.params.feature_noise", -0.1, "need feature_noise >= 0.0, got -0.1"),
+    ("gen", "dataset", dataset_with(DENSITY, n_nodes=0), "need n_nodes >= 1, got 0"),
+    ("gen", "dataset", dataset_with(TRIANGLES, noise_sigma=-1.0),
+     "need noise_sigma >= 0.0, got -1.0"),
+    ("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=-0.2),
+     "need extra_edge_p in [0.0, 1.0], got -0.2"),
+    ("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=1.5),
+     "need extra_edge_p in [0.0, 1.0], got 1.5"),
 ])
 def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -211,7 +211,8 @@ def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
                                        ("gatedgcn", False), ("gatedgcn", True)])
 def test_model_forward_computes_no_dead_tensor(base, nlmi, monkeypatch):
     # Every tensor the forward links into the autograd graph feeds the output;
-    # in particular the last gated layer builds no edge update.
+    # in particular the last gated layer builds no edge update. Every parameter
+    # feeds it too, so a layer that does not encode holds no encoder.
     rng = Rng(35)
     g = _random_graph(9, rng.spawn("g"), True)
     cfg = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=2, width=4,
@@ -237,6 +238,7 @@ def test_model_forward_computes_no_dead_tensor(base, nlmi, monkeypatch):
                 stack.append(inp)
     assert pred in linked
     assert [t.shape for t in linked if t not in reached] == []
+    assert [key for key, p in model.params().items() if p not in reached] == []
 
 
 # --- edge gating -----------------------------------------------------------------
@@ -313,11 +315,11 @@ def test_batchnorm_train_normalizes():
 
 def test_batchnorm_eval_uses_running_stats():
     bn = BatchNorm(2)
-    bn.running_mean = np.array([1.0, -1.0])
-    bn.running_var = np.array([4.0, 0.25])
+    bn.running_mean.data = np.array([1.0, -1.0])
+    bn.running_var.data = np.array([4.0, 0.25])
     x = Tensor(np.array([[3.0, 0.0]]))
     out = bn(x, training=False)
-    expected = (x.data - bn.running_mean) / np.sqrt(bn.running_var + BN_EPS)
+    expected = (x.data - bn.running_mean.data) / np.sqrt(bn.running_var.data + BN_EPS)
     npt.assert_allclose(out.data, expected, atol=1e-12)
 
 

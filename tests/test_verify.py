@@ -61,14 +61,18 @@ def test_zero_encoder_reduction_exact(base):
 
 def test_zero_encoder_twin_copies_everything_but_fc():
     model = build("gatedgcn", nlmi=False, seed=6)
+    with T.no_grad():  # move the running statistics off their initial values
+        model.embeddings(graphs_for("gatedgcn", 1)[0], training=True)
     twin = make_zero_encoder_twin(model)
     assert twin.config.nlmi is True
-    bp, tp = model.params(), twin.params()
-    for name in bp:
+    base, copied = model.tensors(), twin.tensors()
+    assert set(copied) == set(base) | {f"layers.{k}.fc.{p}" for k in (0, 1)
+                                       for p in ("weight", "bias")}
+    for name, t in copied.items():
         if ".fc." in name:
-            assert np.all(tp[name].data == 0.0)
+            assert np.all(t.data == 0.0)
         else:
-            assert np.array_equal(tp[name].data, bp[name].data)
+            assert np.array_equal(t.data, base[name].data)
 
 
 def test_nonzero_encoder_breaks_reduction():
