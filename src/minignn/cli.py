@@ -18,6 +18,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .generators import (ConfigError, DatasetSpec, check_keys, generate_dataset,
                          load_dataset, make_config, save_dataset)
 from .layers import Model, ModelConfig
@@ -50,7 +52,7 @@ def load_run_config(path) -> dict:
     unknown = set(raw) - {"version", "dataset", "model", "train", "seeds", "out"}
     if unknown:
         raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
-    if raw.get("version") != CONFIG_VERSION:
+    if isinstance(raw.get("version"), bool) or raw.get("version") != CONFIG_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_VERSION}")
     if "dataset" not in raw:
         raise ConfigError(f"{path}: config has no dataset section")
@@ -248,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):  # the finite checks report a divergence, in one line
+            return args.fn(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

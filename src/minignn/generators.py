@@ -464,7 +464,7 @@ def load_dataset(path) -> tuple[DatasetSpec, dict[str, list[Graph]]]:
         raise DatasetError(f"cannot read dataset file {path}: {err}") from err
     if not isinstance(payload, dict) or "version" not in payload:
         raise DatasetError(f"{path} is not a dataset file")
-    if payload["version"] != DATASET_FORMAT_VERSION:
+    if isinstance(payload["version"], bool) or payload["version"] != DATASET_FORMAT_VERSION:
         raise DatasetError(
             f"dataset format version {payload['version']} != "
             f"supported {DATASET_FORMAT_VERSION}"

@@ -386,7 +386,7 @@ class Model:
             state = json.load(fh)
         if not isinstance(state, dict):
             raise ValueError(f"checkpoint {path} is not a JSON object")
-        if state.get("version") != CHECKPOINT_VERSION:
+        if isinstance(state.get("version"), bool) or state.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"checkpoint {path} has version {state.get('version')!r}, "
                              f"expected {CHECKPOINT_VERSION}")
         model = cls(make_config(ModelConfig, state.get("config"), "checkpoint config"), Rng(0))

@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every op on a tensor that requires a gradient links its output to its
-inputs and backward rule, so the graph lives as long as the loss does.
-``backward(loss)`` walks the graph in reverse topological order from a
-scalar loss; gradients accumulate additively across multiple uses of a
-tensor, and a second ``backward`` call adds another full pass of gradients
-on top of the first (callers zero grads between steps).
+An op on a tensor that requires a gradient gives its output a ``Node``: its
+backward rule and, per input, the input's Node, the input itself if a leaf,
+or None if it needs no gradient. Rules keep only the arrays they read, so an
+op output is freed when the forward drops it unless a rule reads it. What
+the rules read lives as long as the loss, so ``backward`` may run again; each
+call adds a full pass of gradients (callers zero grads between steps).
 
 Broadcasting is restricted to two rules, both for the second operand of a
 binary elementwise op on an (n, d) tensor. A (d,) operand is applied to
@@ -31,15 +31,24 @@ class NumericsError(ArithmeticError):
     """A non-finite value appeared where finite values are required."""
 
 
+class Node:
+    """An op output's backward rule and inputs: Nodes, leaf Tensors, or None (no grad)."""
+
+    __slots__ = ("inputs", "backward_fn")
+
+    def __init__(self, inputs: tuple, backward_fn):
+        self.inputs = inputs
+        self.backward_fn = backward_fn
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "inputs", "backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.inputs: tuple[Tensor, ...] = ()
-        self.backward_fn = None
+        self.node: Node | None = None
 
     @property
     def shape(self):
@@ -69,22 +78,21 @@ def no_grad():
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.inputs = inputs
-        out.backward_fn = backward_fn
+        out.node = Node(tuple([(t.node or t) if t.requires_grad else None for t in inputs]),
+                        backward_fn)
     return out
 
 
-def _topological_order(root: Tensor) -> list[Tensor]:
-    """Iterative DFS post-order: every tensor after the inputs it needs a grad for."""
-    order: list[Tensor] = []
-    seen = {root}
-    stack = [(root, iter(root.inputs))]
+def _topological_order(root: Node | Tensor) -> list[Node | Tensor]:
+    """Iterative DFS post-order: every Node after the inputs it passes a grad to."""
+    order, seen = [], {root}
+    stack = [(root, iter(root.inputs if isinstance(root, Node) else ()))]
     while stack:
         node, pending = stack[-1]
         for inp in pending:
-            if inp.requires_grad and inp not in seen:
+            if inp is not None and inp not in seen:
                 seen.add(inp)
-                stack.append((inp, iter(inp.inputs)))
+                stack.append((inp, iter(inp.inputs if isinstance(inp, Node) else ())))
                 break
         else:
             stack.pop()
@@ -93,26 +101,26 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every leaf tensor reachable from loss.
+    """Populate .grad on every leaf tensor reachable from a scalar loss.
 
     A leaf is a requires_grad tensor that no op made. Op outputs keep no
-    .grad, so each intermediate gradient is freed once passed back. loss
-    must be scalar (shape ()). Gradients are added into any existing .grad
-    buffers, so repeated calls accumulate. A backward rule may return None
-    for an input that needs no gradient (a constant operand).
+    .grad, so each intermediate gradient is freed once passed back. Gradients
+    are added into any existing .grad buffers, so repeated calls accumulate.
+    A rule may return None for an input that needs no gradient.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
-    flows: dict[Tensor, np.ndarray] = {loss: np.ones(())}
-    for t in reversed(_topological_order(loss)):
+    root = loss.node or loss
+    flows: dict[Node | Tensor, np.ndarray] = {root: np.ones(())}
+    for t in reversed(_topological_order(root)):
         g = flows.pop(t)  # complete: every consumer of t was visited before it
-        if t.backward_fn is None:
+        if isinstance(t, Tensor):
             t.grad = g if t.grad is None else t.grad + g
             continue
         for inp, gi in zip(t.inputs, t.backward_fn(g)):
-            if inp.requires_grad:
+            if inp is not None:
                 flows[inp] = flows[inp] + gi if inp in flows else gi
 
 
@@ -139,9 +147,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
+    x = a.data if b.requires_grad else None  # each operand is read for the other's gradient
+    w = b.data if a.requires_grad else None
 
     def backward_fn(g):
-        return g @ b.data.T, a.data.T @ g
+        return None if w is None else g @ w.T, None if x is None else x.T @ g
 
     return _record(out, (a, b), backward_fn)
 
@@ -149,9 +159,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
+    need_b = b.requires_grad
 
     def backward_fn(g):
-        return g, _reduce_broadcast(g, bc) if b.requires_grad else None
+        return g, _reduce_broadcast(g, bc) if need_b else None
 
     return _record(out, (a, b), backward_fn)
 
@@ -159,9 +170,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
+    need_b = b.requires_grad
 
     def backward_fn(g):
-        return g, -_reduce_broadcast(g, bc) if b.requires_grad else None
+        return g, -_reduce_broadcast(g, bc) if need_b else None
 
     return _record(out, (a, b), backward_fn)
 
@@ -169,10 +181,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
+    x = a.data if b.requires_grad else None  # each factor is read for the other's gradient
+    y = b.data if a.requires_grad else None
 
     def backward_fn(g):
-        return (g * b.data if a.requires_grad else None,
-                _reduce_broadcast(g * a.data, bc) if b.requires_grad else None)
+        return (None if y is None else g * y,
+                None if x is None else _reduce_broadcast(g * x, bc))
 
     return _record(out, (a, b), backward_fn)
 
@@ -218,10 +232,11 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
+    x = a.data
+    out = Tensor(np.log(x))
 
     def backward_fn(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _record(out, (a,), backward_fn)
 
@@ -229,10 +244,11 @@ def log(a: Tensor) -> Tensor:
 def powc(a: Tensor, p: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     p = float(p)
-    out = Tensor(a.data ** p)
+    x = a.data
+    out = Tensor(x ** p)
 
     def backward_fn(g):
-        return (g * p * a.data ** (p - 1.0),)
+        return (g * p * x ** (p - 1.0),)
 
     return _record(out, (a,), backward_fn)
 
@@ -261,9 +277,10 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
+    shape = a.shape
 
     def backward_fn(g):
-        return (np.full(a.shape, g),)
+        return (np.full(shape, g),)
 
     return _record(out, (a,), backward_fn)
 

@@ -157,8 +157,8 @@ class TrainConfig:
         for name, high in (("lr", math.inf), ("min_lr", math.inf), ("factor", 1.0)):
             value = getattr(self, name)  # lr may be 0: a frozen run
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 <= value <= high:
-                raise ValueError(f"train {name} must be a number in [0, {high}], got {value!r}")
+                    or not 0.0 <= value <= min(high, sys.float_info.max):
+                raise ValueError(f"train {name} must be finite, in [0, {high}], got {value!r}")
         if not isinstance(self.weight_classes, bool):
             raise ValueError(f"train weight_classes must be true or false, "
                              f"got {self.weight_classes!r}")

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minignn
 from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError,
                          load_run_config, main)
 from minignn.verify import gradcheck_variant
@@ -273,7 +278,7 @@ def test_eval_checkpoint_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("version", [None, 2])
+@pytest.mark.parametrize("version", [None, 2, True])
 def test_eval_checkpoint_of_another_version_exits_1(tmp_path, capsys, version):
     cfg = write_config(tmp_path, BASE_CONFIG)
     out = tmp_path / "run"
@@ -479,6 +484,29 @@ def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_ru
     assert message in err and "test graph 0" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
+def test_eval_on_a_dataset_file_of_version_true_exits_1(tmp_path, capsys, one_epoch_run):
+    checkpoint, text = one_epoch_run(DENSITY)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({**json.loads(text), "version": True}))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "dataset format version True" in err and len(err.strip().splitlines()) == 1
+
+
+def test_diverging_run_prints_one_line_and_exits_2(tmp_path):
+    # A process of its own: there numpy's RuntimeWarnings would reach stderr.
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["train"]["lr"] = 1e300
+    env = dict(os.environ, PYTHONPATH=str(Path(minignn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "minignn.cli", "train", "--config",
+                           write_config(tmp_path, cfg), "--out", str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("numerical failure:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("key,value", [
     ("width", 0), ("k_layers", -1), ("d_in", 0), ("d_edge", 0), ("task", "bogus"),
     ("width", "16"), ("n_classes", 0), ("nlmi", "off"), ("terms", "msg"),
@@ -541,6 +569,11 @@ def dataset_with(data, **params):
      "need extra_edge_p in [0.0, 1.0], got -0.2"),
     ("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=1.5),
      "need extra_edge_p in [0.0, 1.0], got 1.5"),
+    ("train", "version", True, "config version must be 1"),
+    ("train", "train.lr", math.inf, "train lr must be finite"),
+    ("train", "train.min_lr", math.inf, "train min_lr must be finite"),
+    pytest.param("train", "train.lr", 10 ** 400, "train lr must be finite",
+                 id="train-train.lr-int-beyond-float64"),
 ])
 def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -230,15 +232,44 @@ def test_model_forward_computes_no_dead_tensor(base, nlmi, monkeypatch):
     monkeypatch.setattr(T, "_record", recording)
     pred = model.forward(g, training=True)
     monkeypatch.undo()
-    reached, stack = {pred}, [pred]
+    reached, stack = {pred.node}, [pred.node]
     while stack:
         for inp in stack.pop().inputs:
-            if inp not in reached:
+            if inp is not None and inp not in reached:
                 reached.add(inp)
-                stack.append(inp)
+                if isinstance(inp, T.Node):
+                    stack.append(inp)
     assert pred in linked
-    assert [t.shape for t in linked if t not in reached] == []
+    assert [t.shape for t in linked if t.node not in reached] == []
     assert [key for key, p in model.params().items() if p not in reached] == []
+
+
+def test_training_forward_keeps_three_edge_row_arrays_per_gated_layer(monkeypatch):
+    # The graph holds no op output, and a backward rule keeps only what it reads.
+    # Per gated layer that is sig (the sigmoid's and the message product's rules),
+    # gather(F h, src) (the message product's) and the layer's input e (e @ C's).
+    rng = Rng(36)
+    view = batch([_random_graph(9, rng.spawn("g"), True)])
+    assert view.num_edges != view.num_nodes
+    cfg = ModelConfig(task="node-class", base="gatedgcn", nlmi=True, k_layers=2, width=4,
+                      d_in=3, d_edge=2)
+    model = Model(cfg, rng.spawn("m"))
+    edge_rows = []
+    record = T._record
+
+    def watching(out, inputs, backward_fn):
+        if out.data.ndim and out.shape[0] == view.num_edges:
+            edge_rows.append(weakref.ref(out.data))
+        return record(out, inputs, backward_fn)
+
+    monkeypatch.setattr(T, "_record", watching)
+    pred = model.forward(view, training=True)
+    monkeypatch.undo()
+    loss = T.sum_all(pred)
+    del pred
+    gc.collect()
+    assert len(edge_rows) > 6
+    assert sum(ref() is not None for ref in edge_rows) == 3 * cfg.k_layers
 
 
 # --- edge gating -----------------------------------------------------------------

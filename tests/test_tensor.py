@@ -63,14 +63,18 @@ def test_row_broadcast_add_and_grad():
     npt.assert_array_equal(b.grad, [3.0, 3.0])
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
 def test_constant_operand_gets_no_gradient_computed(op):
+    square = op is T.matmul  # its second operand maps the 2 columns to 2
     x = Tensor(np.ones((3, 2)), requires_grad=True)
-    out = op(x, Tensor(np.array([1.0, 2.0])))
-    grads = out.backward_fn(np.ones((3, 2)))
+    out = op(x, Tensor(np.eye(2) if square else np.array([1.0, 2.0])))
+    grads = out.node.backward_fn(np.ones((3, 2)))
     assert grads[0] is not None and grads[1] is None
-    out = op(Tensor(np.array([[1.0, 2.0]])), Tensor(np.ones((1, 2)), requires_grad=True))
-    assert out.backward_fn(np.ones((1, 2)))[1] is not None
+    assert out.node.inputs == (x, None)
+    out = op(Tensor(np.array([[1.0, 2.0]])),
+             Tensor(np.ones((2, 2) if square else (1, 2)), requires_grad=True))
+    assert out.node.backward_fn(np.ones((1, 2)))[1] is not None
+    assert out.node.inputs[0] is None
 
 
 def test_column_broadcast_values_and_grads():
@@ -144,21 +148,26 @@ def test_no_grad_links_nothing():
     with T.no_grad():
         y = T.mul(x, x)
     assert not y.requires_grad
-    assert y.inputs == () and y.backward_fn is None
+    assert y.node is None
 
 
 def test_graph_lives_as_long_as_its_loss():
+    # What a backward rule reads lives as long as the loss; what none reads
+    # is freed when the forward drops it.
     x = Tensor([1.0, 2.0], requires_grad=True)
-    hidden = T.relu(T.mul(x, x))
-    probe = weakref.ref(hidden.data)  # Tensor has __slots__; its buffer dies with it
-    loss = T.sum_all(hidden)
-    del hidden
+    read = T.scale(x, 2.0)  # the mul's rule reads its factors
+    unread = T.mul(read, read)  # the relu's rule reads only its mask
+    loss = T.sum_all(T.relu(unread))
+    kept, freed = weakref.ref(read.data), weakref.ref(unread.data)  # Tensor has __slots__
+    del read, unread
+    assert kept() is not None and freed() is None
     backward(loss)
-    assert probe() is not None and loss.grad is None
+    backward(loss)  # the rules still read what they kept
+    assert kept() is not None and loss.grad is None
     del loss
     gc.collect()
-    assert probe() is None
-    npt.assert_array_equal(x.grad, [2.0, 4.0])
+    assert kept() is None
+    npt.assert_array_equal(x.grad, [16.0, 32.0])  # twice 8x
 
 
 def test_gradient_accumulation_linearity():
