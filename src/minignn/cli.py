@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .generators import (ConfigError, DatasetSpec, check_keys, generate_dataset,
-                         load_dataset, make_config, save_dataset)
+from .checks import ConfigError, check_keys, check_value, make_config, read_json
+from .generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
 from .layers import Model, ModelConfig
 # perfbench/tracing.py wraps finite_diff_check under this module's name too
 from .tensor import NumericsError, finite_diff_check  # noqa: F401
@@ -42,26 +42,14 @@ ABLATION_ROWS = [
 
 
 def load_run_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    raw = read_json(path, "config", CONFIG_VERSION)
     unknown = set(raw) - {"version", "dataset", "model", "train", "seeds", "out"}
     if unknown:
         raise ConfigError(f"unknown keys in config: {sorted(unknown)}")
-    if isinstance(raw.get("version"), bool) or raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"{path}: config version must be {CONFIG_VERSION}")
     if "dataset" not in raw:
         raise ConfigError(f"{path}: config has no dataset section")
     for section, cls in (("dataset", DatasetSpec), ("model", ModelConfig), ("train", TrainConfig)):
         check_keys(raw.get(section, {}), cls, section)
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or any(
-            isinstance(s, bool) or not isinstance(s, int) for s in seeds):
-        raise ConfigError(f"{path}: seeds must be a non-empty list of integers, got {seeds!r}")
     if not isinstance(raw.get("out", "."), str):
         raise ConfigError(f"{path}: out must be a path string")
     return raw
@@ -92,14 +80,19 @@ def _apply_overrides(raw: dict, args) -> dict:
 
 
 def _build(raw: dict):
-    """The parts of a train or ablate run; both need graphs in every split."""
+    """The parts of a train or ablate run; both need graphs in every split. The
+    seeds are checked here, after a --seed override."""
+    seeds = raw.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    for i, seed in enumerate(seeds):
+        check_value(f"seeds[{i}]", seed, "int")
     spec = make_config(DatasetSpec, raw["dataset"], "dataset")
     empty = [name for name in ("n_train", "n_val", "n_test") if getattr(spec, name) == 0]
     if empty:
         raise ConfigError(f"dataset {', '.join(empty)} must be >= 1 to train")
     model_config = make_config(ModelConfig, raw["model"], "model")
     train_config = make_config(TrainConfig, raw.get("train", {}), "train")
-    seeds = raw.get("seeds", [0])
     out = Path(raw.get("out", "."))
     return spec, model_config, train_config, seeds, out
 
@@ -175,6 +168,8 @@ def cmd_gradcheck(args) -> int:
     if args.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {args.variant!r}, "
                           f"expected one of {sorted(VARIANTS)}")
+    check_value("--width", args.width, "int", 1)
+    check_value("--nodes", args.nodes, "int", 2)
     err = gradcheck_variant(args.variant, args.width, args.nodes, args.seed)
     print(f"variant={args.variant} d={args.width} n={args.nodes} "
           f"max_rel_error={err:.3e} tolerance={GRADCHECK_TOLERANCE:.0e}")

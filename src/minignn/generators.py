@@ -16,11 +16,12 @@ import functools
 import inspect
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _int64
+from .checks import ConfigError, as_array, check_fields, check_value, make_config, read_json
+from .graph import Graph
 from .rng import Rng
 
 DATASET_FORMAT_VERSION = 1
@@ -30,43 +31,6 @@ TASKS = ("node-class", "graph-class", "edge-pred", "graph-reg")
 
 class DatasetError(ValueError):
     """Malformed or incompatible dataset file."""
-
-
-class ConfigError(ValueError):
-    """A config object that does not fit the dataclass it builds."""
-
-
-def check_int(what: str, value, least: int | None = None) -> None:
-    """Raise ValueError unless value is an integer (not a bool), and >= least if given."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
-
-
-def check_keys(obj, cls, context: str) -> None:
-    """Raise ConfigError unless obj is a JSON object whose keys are fields of cls."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(obj) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
-def make_config(cls, obj, context: str):
-    """cls(**obj) after check_keys, with a missing key reported as a ConfigError."""
-    check_keys(obj, cls, context)
-    try:
-        return cls(**obj)
-    except TypeError as err:
-        raise ConfigError(f"bad {context} config: {err}") from err
-
-
-def _need_range(name: str, value, low, high=np.inf) -> None:
-    """Raise unless low <= value <= high and value is finite (a NaN fails every comparison)."""
-    if not (low <= value <= high and value != np.inf):
-        bound = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
-        raise ValueError(f"need {name} {bound}, got {value}")
 
 
 def _both_directions(adj: np.ndarray) -> np.ndarray:
@@ -126,9 +90,6 @@ def gen_sbm_communities(
         raise ValueError(f"need 0 <= p_intra < p_in <= 1, got {p_intra}, {p_in}")
     if n_communities < 2:
         raise ValueError(f"need at least 2 communities, got {n_communities}")
-    _need_range("n_nodes", n_nodes, 1)
-    _need_range("hint_fraction", hint_fraction, 0.0, 1.0)
-    _need_range("feature_noise", feature_noise, 0.0)
     # Contiguous, near-equal blocks: node i belongs to community labels[i].
     sizes = [n_nodes // n_communities] * n_communities
     for i in range(n_nodes % n_communities):
@@ -260,8 +221,6 @@ def gen_graph_regression(
     """Random connected graph; target is the closed-form statistic above."""
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}, {n_max}")
-    _need_range("extra_edge_p", extra_edge_p, 0.0, 1.0)
-    _need_range("noise_sigma", noise_sigma, 0.0)
     n = n_min + rng.randint(n_max - n_min + 1)
     tree = {(rng.randint(v), v) for v in range(1, n)}  # a random spanning tree keeps it connected
     edges = random_edges(n, extra_edge_p, rng, fixed=tree)
@@ -286,15 +245,11 @@ def gen_graph_class(
     """ER graph, label 0 with edge probability p_sparse, label 1 with p_dense."""
     if not 0.0 <= p_sparse < p_dense <= 1.0:
         raise ValueError(f"need 0 <= p_sparse < p_dense <= 1, got {p_sparse}, {p_dense}")
-    _need_range("n_nodes", n_nodes, 1)
     label = rng.randint(2)
     edges = random_edges(n_nodes, p_dense if label else p_sparse, rng)
     x = np.ones((n_nodes, 1))
     return Graph(num_nodes=n_nodes, edges=edges, node_features=x, graph_label=int(label))
 
-
-# generator parameter annotation -> accepted value types; a bool is neither
-PARAM_TYPES = {"int": (int, np.integer), "float": (int, float, np.integer)}
 
 GENERATORS = {
     "sbm": (gen_sbm_communities, "node-class"),
@@ -303,6 +258,10 @@ GENERATORS = {
     "triangles": (gen_graph_regression, "graph-reg"),
     "density": (gen_graph_class, "graph-class"),
 }
+
+# (low,) or (low, high) of each generator param that has a range, by name
+PARAM_BOUNDS = {"n_nodes": (1,), "hint_fraction": (0.0, 1.0), "feature_noise": (0.0,),
+                "extra_edge_p": (0.0, 1.0), "noise_sigma": (0.0,)}
 
 
 @dataclass
@@ -318,7 +277,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        if self.generator not in GENERATORS:
+        if not isinstance(self.generator, str) or self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         fn, expected = GENERATORS[self.generator]
         if self.task != expected:
@@ -326,9 +285,8 @@ class DatasetSpec:
                 f"generator {self.generator!r} produces {expected!r} labels, "
                 f"not {self.task!r}"
             )
-        for name in ("n_train", "n_val", "n_test"):
-            check_int(f"dataset {name}", getattr(self, name), 0)
-        check_int("dataset seed", self.seed)
+        check_fields("dataset", vars(self), self.__annotations__,
+                     {"n_train": (0,), "n_val": (0,), "n_test": (0,)})
         if not isinstance(self.params, dict):
             raise ValueError(f"generator params must be an object, got {self.params!r}")
         signature = inspect.signature(fn).parameters
@@ -339,12 +297,8 @@ class DatasetSpec:
         if unknown or missing:
             raise ValueError(f"generator {self.generator!r} params: unknown {unknown}, "
                              f"missing {missing}; it accepts {sorted(accepted)}")
-        for name, value in self.params.items():
-            kind = signature[name].annotation  # a string: this module defers annotations
-            if kind in PARAM_TYPES and (isinstance(value, bool)
-                                        or not isinstance(value, PARAM_TYPES[kind])):
-                raise ValueError(f"generator {self.generator!r} param {name} must be "
-                                 f"of type {kind}, got {value!r}")
+        check_fields(f"generator {self.generator!r} param", self.params,
+                     {k: p.annotation for k, p in signature.items()}, PARAM_BOUNDS)
 
 
 def generate_dataset(spec: DatasetSpec) -> dict[str, list[Graph]]:
@@ -381,31 +335,6 @@ def _graph_to_obj(g: Graph, task: str) -> dict:
     return obj
 
 
-def _no_bools(name: str, values) -> None:
-    """Raise if values hold a JSON true or false, which numpy reads as 1 or 0."""
-    bools = [v for v in np.asarray(values, dtype=object).ravel().tolist() if type(v) is bool]
-    if bools:
-        raise ValueError(f"{name} must hold numbers, got {bools[0]!r}")
-
-
-def _float64(name: str, values) -> np.ndarray:
-    """values as a float64 array; a boolean, a string, a null, a non-finite
-    value or a ragged list raises, naming ``name``."""
-    _no_bools(name, values)
-    try:
-        arr = np.asarray(values)
-    except ValueError as err:  # a ragged list
-        raise ValueError(f"{name} must be a rectangular array of numbers") from err
-    bad = [] if arr.dtype.kind in "iuf" else \
-        [v for v in arr.ravel().tolist() if type(v) not in (int, float)]
-    if not bad:
-        arr = arr.astype(np.float64)
-        bad = arr[~np.isfinite(arr)].tolist()
-    if bad:
-        raise ValueError(f"{name} must hold finite numbers, got {bad[0]!r}")
-    return arr
-
-
 def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
     """Graph of one dataset file object, read strictly: a count, an endpoint
     or a class label is an integer, a feature or target a finite number, and
@@ -414,32 +343,30 @@ def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
     try:
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-        for key in ("edges", "y"):  # integer reads; check_int and _float64 sweep the rest
-            _no_bools(key, obj.get(key))
-        check_int("n", obj["n"], 0)
-        edges = _int64("edges", obj["edges"])
+        check_value("n", obj["n"], "int", 0)
+        edges = as_array("edges", obj["edges"], "int")
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise ValueError(f"edges must be a list of [src, dst] pairs, got shape {edges.shape}")
         kwargs = {
             "num_nodes": obj["n"],
             "edges": edges,
-            "node_features": _float64("x", obj["x"]),
+            "node_features": as_array("x", obj["x"], "float"),
         }
         if "e" in obj:
-            kwargs["edge_features"] = _float64("e", obj["e"])
+            kwargs["edge_features"] = as_array("e", obj["e"], "float")
         y = obj["y"]
         if task == "node-class":
             kwargs["node_labels"] = y
         elif task == "graph-class":
-            kwargs["graph_label"] = int(_int64("y", y))
+            kwargs["graph_label"] = int(as_array("y", y, "int"))
         elif task == "edge-pred":
             kwargs["edge_labels"] = y
         else:
-            kwargs["graph_label"] = float(_float64("y", y))
+            kwargs["graph_label"] = float(as_array("y", y, "float"))
         return Graph(**kwargs)
     except KeyError as err:
         raise DatasetError(f"malformed {where}: missing key {err}") from err
-    except (TypeError, ValueError, OverflowError) as err:
+    except (TypeError, ValueError) as err:
         raise DatasetError(f"malformed {where}: {err}") from err
 
 
@@ -458,17 +385,9 @@ def save_dataset(path, spec: DatasetSpec, splits: dict[str, list[Graph]]) -> Non
 
 def load_dataset(path) -> tuple[DatasetSpec, dict[str, list[Graph]]]:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, OSError) as err:
-        raise DatasetError(f"cannot read dataset file {path}: {err}") from err
-    if not isinstance(payload, dict) or "version" not in payload:
-        raise DatasetError(f"{path} is not a dataset file")
-    if isinstance(payload["version"], bool) or payload["version"] != DATASET_FORMAT_VERSION:
-        raise DatasetError(
-            f"dataset format version {payload['version']} != "
-            f"supported {DATASET_FORMAT_VERSION}"
-        )
+        payload = read_json(path, "dataset file", DATASET_FORMAT_VERSION)
+    except ConfigError as err:
+        raise DatasetError(err) from err
     splits = payload.get("splits")
     if not isinstance(splits, dict) or not all(isinstance(s, list) for s in splits.values()):
         raise DatasetError(f"malformed dataset file {path}: splits must map names to lists")

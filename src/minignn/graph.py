@@ -16,22 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import as_array
 from .tensor import Rows
-
-
-def _int64(name: str, values) -> np.ndarray:
-    """values as an int64 array. A value that is not an integer raises, not
-    truncates: a fraction, a non-finite float, a string or a null. Booleans
-    (a numpy mask) count as 0 and 1."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iub":
-        if arr.dtype.kind == "f":
-            bad = arr[~(np.isfinite(arr) & (arr == np.floor(arr)))].tolist()
-        else:
-            bad = [v for v in arr.ravel().tolist() if type(v) is not int]
-        if bad:
-            raise ValueError(f"{name} must hold integers, got {bad[0]!r}")
-    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -45,28 +31,28 @@ class Graph:
     edge_labels: np.ndarray | None = None  # (E,) int64
 
     def __post_init__(self):
-        self.edges = _int64("edges", self.edges).reshape(-1, 2)
+        self.edges = as_array("edges", self.edges, "int").reshape(-1, 2)
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
         if self.edge_features is not None:
             self.edge_features = np.asarray(self.edge_features, dtype=np.float64)
         if self.node_labels is not None:
-            self.node_labels = _int64("node_labels", self.node_labels)
+            self.node_labels = as_array("node_labels", self.node_labels, "int")
         if self.edge_labels is not None:
-            self.edge_labels = _int64("edge_labels", self.edge_labels)
+            self.edge_labels = as_array("edge_labels", self.edge_labels, "int")
         self.validate()
 
     def validate(self) -> None:
-        if self.node_features.shape[0] != self.num_nodes:
-            raise ValueError(
-                f"node_features has {self.node_features.shape[0]} rows "
-                f"for {self.num_nodes} nodes"
-            )
+        if self.node_features.ndim != 2 or self.node_features.shape[0] != self.num_nodes:
+            raise ValueError(f"node_features has shape {self.node_features.shape} "
+                             f"for {self.num_nodes} nodes")
         if self.num_edges and (
             self.edges.min() < 0 or self.edges.max() >= self.num_nodes
         ):
             raise ValueError("edge endpoint out of range")
-        if self.edge_features is not None and self.edge_features.shape[0] != self.num_edges:
-            raise ValueError("edge_features row count != num_edges")
+        if self.edge_features is not None and (self.edge_features.ndim != 2
+                                               or self.edge_features.shape[0] != self.num_edges):
+            raise ValueError(f"edge_features has shape {self.edge_features.shape} "
+                             f"for {self.num_edges} edges")
         if self.node_labels is not None and self.node_labels.shape != (self.num_nodes,):
             raise ValueError(f"node_labels has shape {self.node_labels.shape} "
                              f"for {self.num_nodes} nodes")

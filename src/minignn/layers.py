@@ -25,13 +25,13 @@ edge row carries it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
-from .generators import TASKS, _float64, check_int, make_config
+from .checks import as_array, check_fields, make_config, read_json
+from .generators import TASKS
 from .graph import Graph, GraphView, batch
 from .rng import Rng
 from . import tensor as T
@@ -252,11 +252,9 @@ class ModelConfig:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
         if self.base not in BASES:
             raise ValueError(f"unknown base {self.base!r}, expected one of {BASES}")
-        for name, least in (("k_layers", 0), ("width", 1), ("d_in", 1), ("d_edge", 1),
-                            ("n_classes", 1)):
-            check_int(f"model {name}", getattr(self, name), least)
-        if not isinstance(self.nlmi, bool):
-            raise ValueError(f"model nlmi must be true or false, got {self.nlmi!r}")
+        check_fields("model", vars(self), self.__annotations__,
+                     {"k_layers": (0,), "width": (1,), "d_in": (1,), "d_edge": (1,),
+                      "n_classes": (1,)})
         if not isinstance(self.terms, (list, tuple)) or len(self.terms) != 3 \
                 or not all(isinstance(t, bool) for t in self.terms):
             raise ValueError(f"model terms must be a (self, msg, enc) triple of booleans, "
@@ -372,7 +370,7 @@ class Model:
                 raise ValueError(f"checkpoint {section} keys do not match the model: "
                                  f"missing {missing}, unknown {unknown}")
             for key, vals in have.items():
-                arr = loads[key] = _float64(f"checkpoint {key}", vals)
+                arr = loads[key] = as_array(f"checkpoint {key}", vals, "float")
                 if arr.shape != tensors[key].shape:
                     raise ValueError(f"checkpoint shape mismatch for {key}")
                 if key.endswith(".running_var") and np.any(arr < 0.0):
@@ -382,13 +380,7 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path) as fh:
-            state = json.load(fh)
-        if not isinstance(state, dict):
-            raise ValueError(f"checkpoint {path} is not a JSON object")
-        if isinstance(state.get("version"), bool) or state.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint {path} has version {state.get('version')!r}, "
-                             f"expected {CHECKPOINT_VERSION}")
+        state = read_json(path, "checkpoint", CHECKPOINT_VERSION)
         model = cls(make_config(ModelConfig, state.get("config"), "checkpoint config"), Rng(0))
         model.load_state(state)
         return model

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import check_int
+from .checks import check_fields
 from .graph import Graph, batch as make_batch
 from .layers import Model, ModelConfig
 from .rng import Rng
@@ -152,16 +152,9 @@ class TrainConfig:
     weight_classes: bool = True
 
     def __post_init__(self):
-        for name, least in (("patience", 0), ("max_epochs", 1), ("batch_size", 1)):
-            check_int(f"train {name}", getattr(self, name), least)
-        for name, high in (("lr", math.inf), ("min_lr", math.inf), ("factor", 1.0)):
-            value = getattr(self, name)  # lr may be 0: a frozen run
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 <= value <= min(high, sys.float_info.max):
-                raise ValueError(f"train {name} must be finite, in [0, {high}], got {value!r}")
-        if not isinstance(self.weight_classes, bool):
-            raise ValueError(f"train weight_classes must be true or false, "
-                             f"got {self.weight_classes!r}")
+        check_fields("train", vars(self), self.__annotations__,  # lr may be 0: a frozen run
+                     {"lr": (0.0,), "patience": (0,), "factor": (0.0, 1.0), "min_lr": (0.0,),
+                      "max_epochs": (1,), "batch_size": (1,)})
 
 
 @dataclass

@@ -198,14 +198,16 @@ def gated_run(tmp_path_factory):
     ("params", "layers.0.A", [[math.nan] * 4] * 4,
      "checkpoint layers.0.A must hold finite numbers, got nan"),
     ("params", "layers.0.A", [[True] * 4] * 4,
-     "checkpoint layers.0.A must hold numbers, got True"),
+     "checkpoint layers.0.A must hold finite numbers, got True"),
     ("params", "layers.0.A", "x", "checkpoint layers.0.A must hold finite numbers, got 'x'"),
     ("params", "layers.0.A", [[0.0] * 4] * 3 + [[0.0]],
      "checkpoint layers.0.A must be a rectangular array of numbers"),
     ("stats", "layers.0.running_var", [1.0, -0.5, 1.0, 1.0],
      "checkpoint layers.0.running_var must be >= 0, got -0.5"),
+    ("params", "layers.0.A", [[10 ** 400] * 4] * 4,
+     "checkpoint layers.0.A must hold finite numbers, got 1000000"),
 ], ids=["null-stats", "null-values", "nan-value", "bool-values", "string-value",
-        "ragged-values", "negative-running-var"])
+        "ragged-values", "negative-running-var", "int-beyond-float64"])
 def test_eval_on_a_malformed_checkpoint_exits_1(tmp_path, capsys, gated_run, section, key,
                                                 value, message):
     ckpt, data = gated_run
@@ -275,6 +277,17 @@ def test_eval_checkpoint_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
     err = capsys.readouterr().err
     assert "bogus" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_eval_on_a_truncated_checkpoint_names_the_file(tmp_path, capsys, gated_run):
+    ckpt, data = gated_run
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt)[:200])
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read checkpoint {bad}" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -452,25 +465,28 @@ def one_epoch_run(tmp_path_factory):
 
 @pytest.mark.parametrize("data,mutate,message", [
     (DENSITY, lambda g: {**g, "y": 0.7}, "y must hold integers, got 0.7"),
-    (DENSITY, lambda g: {**g, "y": True}, "y must hold numbers, got True"),
+    (DENSITY, lambda g: {**g, "y": True}, "y must hold integers, got True"),
     (DENSITY, lambda g: {**g, "y": "1"}, "y must hold integers, got '1'"),
     (TRIANGLES, lambda g: {**g, "y": math.nan}, "y must hold finite numbers, got nan"),
     (TRIANGLES, lambda g: {**g, "y": "2.5"}, "y must hold finite numbers, got '2.5'"),
-    (TRIANGLES, lambda g: {**g, "y": True}, "y must hold numbers, got True"),
+    (TRIANGLES, lambda g: {**g, "y": True}, "y must hold finite numbers, got True"),
     (PATTERN, lambda g: {**g, "n": g["n"] + 0.5}, "n must be an integer >= 0, got "),
     (PATTERN, lambda g: {**g, "edges": sum(g["edges"], [])},
      "edges must be a list of [src, dst] pairs, got shape"),
     (PATTERN, lambda g: {**g, "y": [str(v) for v in g["y"]]},
      "node_labels must hold integers, got '"),
     (PATTERN, lambda g: {**g, "y": [v == 1 for v in g["y"]]},
-     "y must hold numbers, got "),
+     "node_labels must hold integers, got "),
     (PATTERN, lambda g: {**g, "x": [[math.nan]] + g["x"][1:]},
      "x must hold finite numbers, got nan"),
     (PATTERN, lambda g: {**g, "x": [[]] + g["x"][1:]}, "x must be a rectangular array"),
-    (PATTERN, lambda g: {**g, "x": [[True]] + g["x"][1:]}, "x must hold numbers, got True"),
+    (PATTERN, lambda g: {**g, "x": [[True]] + g["x"][1:]},
+     "x must hold finite numbers, got True"),
+    (PATTERN, lambda g: {**g, "x": 0}, "node_features has shape () for 8 nodes"),
 ], ids=["class-y-fraction", "class-y-bool", "class-y-string", "reg-y-nan", "reg-y-string",
         "reg-y-bool", "fractional-n", "flat-edges", "string-node-labels",
-        "bool-node-labels", "nan-feature", "ragged-features", "bool-feature"])
+        "bool-node-labels", "nan-feature", "ragged-features", "bool-feature",
+        "scalar-features"])
 def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_run, data,
                                                   mutate, message):
     checkpoint, text = one_epoch_run(data)
@@ -491,7 +507,7 @@ def test_eval_on_a_dataset_file_of_version_true_exits_1(tmp_path, capsys, one_ep
     capsys.readouterr()
     assert main(["eval", "--checkpoint", checkpoint, "--data", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "dataset format version True" in err and len(err.strip().splitlines()) == 1
+    assert "has version True, expected 1" in err and len(err.strip().splitlines()) == 1
 
 
 def test_diverging_run_prints_one_line_and_exits_2(tmp_path):
@@ -551,29 +567,70 @@ def dataset_with(data, **params):
     ("train", "dataset.seed", 1.5, "dataset seed must be an integer"),
     ("train", "dataset.seed", "x", "dataset seed must be an integer"),
     ("train", "dataset.seed", True, "dataset seed must be an integer"),
-    ("gen", "dataset.params.n_nodes", "12", "n_nodes must be of type int"),
-    ("gen", "dataset.params.n_nodes", 12.5, "n_nodes must be of type int"),
-    ("gen", "dataset.params.p_in", "0.3", "p_in must be of type float"),
-    ("gen", "dataset.params.n_communities", "2", "n_communities must be of type int"),
-    ("gen", "dataset.params.feature_noise", False, "feature_noise must be of type float"),
-    ("gen", "dataset.params.n_nodes", 0, "need n_nodes >= 1, got 0"),
-    ("train", "dataset.params.n_nodes", 0, "need n_nodes >= 1, got 0"),
-    ("gen", "dataset.params.n_nodes", -3, "need n_nodes >= 1, got -3"),
-    ("gen", "dataset.params.hint_fraction", 2, "need hint_fraction in [0.0, 1.0], got 2"),
-    ("gen", "dataset.params.hint_fraction", -0.25, "need hint_fraction in [0.0, 1.0], got -0.25"),
-    ("gen", "dataset.params.feature_noise", -0.1, "need feature_noise >= 0.0, got -0.1"),
-    ("gen", "dataset", dataset_with(DENSITY, n_nodes=0), "need n_nodes >= 1, got 0"),
-    ("gen", "dataset", dataset_with(TRIANGLES, noise_sigma=-1.0),
-     "need noise_sigma >= 0.0, got -1.0"),
-    ("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=-0.2),
-     "need extra_edge_p in [0.0, 1.0], got -0.2"),
-    ("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=1.5),
-     "need extra_edge_p in [0.0, 1.0], got 1.5"),
-    ("train", "version", True, "config version must be 1"),
-    ("train", "train.lr", math.inf, "train lr must be finite"),
-    ("train", "train.min_lr", math.inf, "train min_lr must be finite"),
-    pytest.param("train", "train.lr", 10 ** 400, "train lr must be finite",
+    # these ids keep the message each case was first pinned with, so no case is renamed
+    pytest.param("gen", "dataset.params.n_nodes", "12",
+                 "n_nodes must be an integer >= 1, got '12'",
+                 id="gen-dataset.params.n_nodes-12-n_nodes must be of type int"),
+    pytest.param("gen", "dataset.params.n_nodes", 12.5,
+                 "n_nodes must be an integer >= 1, got 12.5",
+                 id="gen-dataset.params.n_nodes-12.5-n_nodes must be of type int"),
+    pytest.param("gen", "dataset.params.p_in", "0.3", "p_in must be a finite number, got '0.3'",
+                 id="gen-dataset.params.p_in-0.3-p_in must be of type float"),
+    pytest.param("gen", "dataset.params.n_communities", "2",
+                 "n_communities must be an integer, got '2'",
+                 id="gen-dataset.params.n_communities-2-n_communities must be of type int"),
+    pytest.param("gen", "dataset.params.feature_noise", False,
+                 "feature_noise must be a finite number >= 0.0, got False",
+                 id="gen-dataset.params.feature_noise-False-feature_noise must be of type float"),
+    pytest.param("gen", "dataset.params.n_nodes", 0, "n_nodes must be an integer >= 1, got 0",
+                 id="gen-dataset.params.n_nodes-0-need n_nodes >= 1, got 0"),
+    pytest.param("train", "dataset.params.n_nodes", 0, "n_nodes must be an integer >= 1, got 0",
+                 id="train-dataset.params.n_nodes-0-need n_nodes >= 1, got 0"),
+    pytest.param("gen", "dataset.params.n_nodes", -3, "n_nodes must be an integer >= 1, got -3",
+                 id="gen-dataset.params.n_nodes--3-need n_nodes >= 1, got -3"),
+    pytest.param("gen", "dataset.params.hint_fraction", 2,
+                 "hint_fraction must be a finite number in [0.0, 1.0], got 2",
+                 id="gen-dataset.params.hint_fraction-2-need hint_fraction in [0.0, 1.0], got 2"),
+    pytest.param("gen", "dataset.params.hint_fraction", -0.25,
+                 "hint_fraction must be a finite number in [0.0, 1.0], got -0.25",
+                 id="gen-dataset.params.hint_fraction--0.25-need hint_fraction in [0.0, 1.0], "
+                    "got -0.25"),
+    pytest.param("gen", "dataset.params.feature_noise", -0.1,
+                 "feature_noise must be a finite number >= 0.0, got -0.1",
+                 id="gen-dataset.params.feature_noise--0.1-need feature_noise >= 0.0, got -0.1"),
+    pytest.param("gen", "dataset", dataset_with(DENSITY, n_nodes=0),
+                 "n_nodes must be an integer >= 1, got 0",
+                 id="gen-dataset-value30-need n_nodes >= 1, got 0"),
+    pytest.param("gen", "dataset", dataset_with(TRIANGLES, noise_sigma=-1.0),
+                 "noise_sigma must be a finite number >= 0.0, got -1.0",
+                 id="gen-dataset-value31-need noise_sigma >= 0.0, got -1.0"),
+    pytest.param("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=-0.2),
+                 "extra_edge_p must be a finite number in [0.0, 1.0], got -0.2",
+                 id="gen-dataset-value32-need extra_edge_p in [0.0, 1.0], got -0.2"),
+    pytest.param("gen", "dataset", dataset_with(TRIANGLES, extra_edge_p=1.5),
+                 "extra_edge_p must be a finite number in [0.0, 1.0], got 1.5",
+                 id="gen-dataset-value33-need extra_edge_p in [0.0, 1.0], got 1.5"),
+    pytest.param("train", "version", True, "has version True, expected 1",
+                 id="train-version-True-config version must be 1"),
+    pytest.param("train", "train.lr", math.inf, "train lr must be a finite number >= 0.0, got inf",
+                 id="train-train.lr-inf-train lr must be finite"),
+    pytest.param("train", "train.min_lr", math.inf,
+                 "train min_lr must be a finite number >= 0.0, got inf",
+                 id="train-train.min_lr-inf-train min_lr must be finite"),
+    pytest.param("train", "train.lr", 10 ** 400,
+                 "train lr must be a finite number >= 0.0, got 1000000",
                  id="train-train.lr-int-beyond-float64"),
+    pytest.param("gen", "dataset.params.feature_noise", 10 ** 400,
+                 "feature_noise must be a finite number >= 0.0, got 1000000",
+                 id="gen-feature_noise-int-beyond-float64"),
+    pytest.param("gen", "dataset.params.n_nodes", 10 ** 400,
+                 "n_nodes must be an integer >= 1, got 1000000",
+                 id="gen-n_nodes-int-beyond-int64"),
+    pytest.param("gen", "dataset.params.n_communities", 10 ** 400,
+                 "n_communities must be an integer, got 1000000",
+                 id="gen-n_communities-int-beyond-int64"),
+    pytest.param("gen", "dataset.generator", ["sbm"], "unknown generator ['sbm']",
+                 id="gen-dataset.generator-list"),
 ])
 def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     cfg = json.loads(json.dumps(BASE_CONFIG))
@@ -590,6 +647,27 @@ def test_config_hole_exits_1(tmp_path, capsys, command, path, value, message):
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,seeds,flag", [
+    ("train", [10 ** 400], None),
+    ("train", None, str(10 ** 30)),
+    ("ablate", None, str(10 ** 30)),
+])
+def test_seed_beyond_int64_exits_1_before_training(tmp_path, capsys, command, seeds, flag):
+    # checked after the --seed override, and before the out directory is made
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"]["base"] = "gatedgcn"
+    if seeds is not None:
+        cfg["seeds"] = seeds
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    if flag is not None:
+        argv += ["--seed", flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "seeds[" in err and "must be an integer" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
 
 
 def test_d_in_not_matching_the_data_exits_1(tmp_path, capsys):
@@ -648,6 +726,14 @@ def test_gradcheck_step_across_a_relu_kink_exits_0(capsys):
 def test_gradcheck_unknown_variant_exits_1(capsys):
     assert main(["gradcheck", "--variant", "transformer"]) == 1
     assert "unknown variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--nodes", "0"), ("--nodes", "1"), ("--width", "0")])
+def test_gradcheck_size_below_its_least_exits_1(capsys, flag, value):
+    assert main(["gradcheck", "--variant", "nlmi-gcn", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be an integer >= " in err and f"got {value}" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_gradcheck_variant_errors_small():
