@@ -44,7 +44,7 @@ def make_config(cls, obj, context: str):
     try:
         return cls(**obj)
     except TypeError as err:
-        raise ConfigError(f"bad {context} config: {err}") from err
+        raise ConfigError(f"bad {context}: {err}") from err
 
 
 def _fits(value, kind: str) -> bool:

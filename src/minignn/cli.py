@@ -87,6 +87,8 @@ def _build(raw: dict):
         raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     for i, seed in enumerate(seeds):
         check_value(f"seeds[{i}]", seed, "int")
+        if seed in seeds[:i]:
+            raise ConfigError(f"seeds[{i}] repeats seed {seed}; each seed trains one run")
     spec = make_config(DatasetSpec, raw["dataset"], "dataset")
     empty = [name for name in ("n_train", "n_val", "n_test") if getattr(spec, name) == 0]
     if empty:
@@ -170,6 +172,7 @@ def cmd_gradcheck(args) -> int:
                           f"expected one of {sorted(VARIANTS)}")
     check_value("--width", args.width, "int", 1)
     check_value("--nodes", args.nodes, "int", 2)
+    check_value("--seed", args.seed, "int")
     err = gradcheck_variant(args.variant, args.width, args.nodes, args.seed)
     print(f"variant={args.variant} d={args.width} n={args.nodes} "
           f"max_rel_error={err:.3e} tolerance={GRADCHECK_TOLERANCE:.0e}")

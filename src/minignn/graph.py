@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import as_array
-from .tensor import Rows
+from .tensor import Rows, Tensor
 
 
 @dataclass
@@ -95,7 +95,8 @@ class GraphView:
     segment sum and backward scatter of all layers shares one flattened
     index each. ``edge_perm`` takes stored edge rows to canonical ones
     (sorted by destination, then source); ``in_deg`` is the (n, 1)
-    in-degree column. Repeated forwards of one view share its indices.
+    in-degree column, and ``inv_deg`` a constant Tensor of 1 / max(in_deg, 1).
+    Repeated forwards of one view share its indices.
     """
 
     def __init__(self, edges: np.ndarray, node_features: np.ndarray,
@@ -112,6 +113,7 @@ class GraphView:
         self.dst = Rows(dst[order], n)
         self.edge_perm = order
         self.in_deg = np.bincount(dst, minlength=n).astype(float)[:, None]
+        self.inv_deg = Tensor(1.0 / np.maximum(self.in_deg, 1.0))
         self.graph_id = Rows(graph_id, num_graphs)
 
 

@@ -69,6 +69,7 @@ class BatchNorm:
         self.beta = Tensor(np.zeros(d), requires_grad=True)
         self.running_mean = Tensor(np.zeros(d))
         self.running_var = Tensor(np.ones(d))
+        self.eps = Tensor(np.full(d, BN_EPS))  # a constant: neither a parameter nor a statistic
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
@@ -81,7 +82,7 @@ class BatchNorm:
         else:
             xc = T.sub(x, self.running_mean)
             var = self.running_var
-        inv_std = T.powc(T.add(var, Tensor(np.full(var.shape, BN_EPS))), -0.5)
+        inv_std = T.powc(T.add(var, self.eps), -0.5)
         return T.add(T.mul(T.mul(xc, inv_std), self.gamma), self.beta)
 
 
@@ -113,7 +114,7 @@ class GcnLayer:
     def forward(self, h: Tensor, view: GraphView, training: bool) -> Tensor:
         msgs = T.gather_rows(T.matmul(h, self.W), view.src)
         total = T.mul(T.segment_sum(msgs, view.dst, view.num_nodes),
-                      Tensor(1.0 / np.maximum(view.in_deg, 1.0)))  # sum of h_v W / k
+                      view.inv_deg)  # sum of h_v W / k
         pre = total
         if self.fc is not None:
             pre = T.add(pre, interaction_encoding(total, self.fc, view.in_deg))
@@ -156,6 +157,7 @@ class GatedGcnLayer:
         self.F = mat("F")
         self.fc = Linear(2 * d, d, rng.spawn("fc")) if encode_interactions and terms[2] else None
         self.bn = BatchNorm(d)
+        self.gate_eps = Tensor(np.full(d, GATE_EPS))
         self.encode_interactions = encode_interactions
         self.terms = terms
 
@@ -166,8 +168,7 @@ class GatedGcnLayer:
             T.matmul(e, self.C),
         )
         sig = T.sigmoid(e_pre)
-        denom = T.add(T.segment_sum(sig, view.dst, view.num_nodes),
-                      Tensor(np.full(h.shape[1], GATE_EPS)))
+        denom = T.add(T.segment_sum(sig, view.dst, view.num_nodes), self.gate_eps)
         msg = T.mul(sig, T.gather_rows(T.matmul(h, self.F), view.src))
         total = T.mul(T.segment_sum(msg, view.dst, view.num_nodes), T.powc(denom, -1.0))
 

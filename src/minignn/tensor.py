@@ -22,6 +22,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
@@ -45,7 +47,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # an op's float64 result is kept as it is; np.asarray would return it unchanged
+        self.data = data if type(data) is np.ndarray and data.dtype is _FLOAT64 \
+            else np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node: Node | None = None
@@ -76,7 +80,7 @@ def no_grad():
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any(t.requires_grad for t in inputs):
+    if _GRAD_ENABLED and any([t.requires_grad for t in inputs]):
         out.requires_grad = True
         out.node = Node(tuple([(t.node or t) if t.requires_grad else None for t in inputs]),
                         backward_fn)
@@ -128,13 +132,14 @@ def backward(loss: Tensor) -> None:
 
 def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> int | None:
     """The axis b repeats along to match a (0: a (d,) row, 1: an (n, 1) column), or None."""
-    if a.shape == b.shape:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
         return None
-    if a.data.ndim == 2 and b.shape == (a.shape[1],):
+    if len(sa) == 2 and sb == (sa[1],):
         return 0
-    if a.data.ndim == 2 and b.shape == (a.shape[0], 1):
+    if len(sa) == 2 and sb == (sa[0], 1):
         return 1
-    raise ShapeError(f"{opname}: incompatible shapes {a.shape} and {b.shape}")
+    raise ShapeError(f"{opname}: incompatible shapes {sa} and {sb}")
 
 
 def _reduce_broadcast(g: np.ndarray, axis: int | None) -> np.ndarray:
@@ -144,8 +149,9 @@ def _reduce_broadcast(g: np.ndarray, axis: int | None) -> np.ndarray:
 # --- primitive ops --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
+        raise ShapeError(f"matmul: incompatible shapes {sa} and {sb}")
     out = Tensor(a.data @ b.data)
     x = a.data if b.requires_grad else None  # each operand is read for the other's gradient
     w = b.data if a.requires_grad else None
@@ -264,10 +270,11 @@ def absolute(a: Tensor) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) != 2 or sa[0] != sb[0]:
+        raise ShapeError(f"concat_cols: incompatible shapes {sa} and {sb}")
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
-    da = a.shape[1]
+    da = sa[1]
 
     def backward_fn(g):
         return g[:, :da], g[:, da:]
@@ -277,7 +284,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
-    shape = a.shape
+    shape = a.data.shape
 
     def backward_fn(g):
         return (np.full(shape, g),)
@@ -290,7 +297,7 @@ def sum_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"sum_rows expects a matrix, got shape {a.shape}")
     out = Tensor(a.data.sum(axis=0))
-    n = a.shape[0]
+    n = a.data.shape[0]
 
     def backward_fn(g):
         return (np.broadcast_to(g, (n,) + g.shape).copy(),)
@@ -303,7 +310,7 @@ def sum_cols(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"sum_cols expects a matrix, got shape {a.shape}")
     out = Tensor(a.data.sum(axis=1, keepdims=True))
-    d = a.shape[1]
+    d = a.data.shape[1]
 
     def backward_fn(g):
         return (np.broadcast_to(g, (g.shape[0], d)).copy(),)
@@ -351,7 +358,7 @@ def _rows(idx, n: int, opname: str) -> Rows:
 
 
 def gather_rows(a: Tensor, idx: Rows | np.ndarray) -> Tensor:
-    rows = _rows(idx, a.shape[0], "gather_rows")
+    rows = _rows(idx, a.data.shape[0], "gather_rows")
     out = Tensor(a.data[rows.idx])
 
     def backward_fn(g):
@@ -369,7 +376,7 @@ def segment_sum(a: Tensor, idx: Rows | np.ndarray, num_segments: int) -> Tensor:
     shares their flattened indices.
     """
     rows = _rows(idx, num_segments, "segment_sum")
-    if a.data.ndim != 2 or rows.idx.shape != (a.shape[0],):
+    if a.data.ndim != 2 or rows.idx.shape != a.data.shape[:1]:
         raise ShapeError(f"segment_sum: data {a.shape} vs index {rows.idx.shape}")
     out = Tensor(rows.scatter(a.data))
 

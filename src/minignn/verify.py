@@ -54,14 +54,20 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
                          width=d, d_in=3, d_edge=2, n_classes=2)
     model = Model(config, rng.spawn("model"))
     view = batch([g])  # every forward of the check shares g's indices
+    with T.no_grad():  # a head weight's f runs the head alone on the arrays every forward makes
+        fixed, _ = model.embeddings(view, training=False)
 
     def f(_x, _model=model, _view=view):
         pred = _model.forward(_view, training=False)
         return T.sum_all(T.mul(pred, pred))
 
+    def f_head(_x, _head=model.head, _h=fixed, _view=view):
+        pred = _head(_h, _view)
+        return T.sum_all(T.mul(pred, pred))
+
     worst = 0.0
-    for p in model.params().values():
-        worst = max(worst, T.finite_diff_check(f, p, h))
+    for name, p in model.params().items():
+        worst = max(worst, T.finite_diff_check(f_head if name.startswith("head.") else f, p, h))
     return worst
 
 

@@ -280,6 +280,20 @@ def test_eval_checkpoint_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_eval_checkpoint_config_without_task_says_config_once(tmp_path, capsys, gated_run):
+    ckpt, data = gated_run
+    ckpt = json.loads(json.dumps(ckpt))
+    del ckpt["config"]["task"]
+    bad = tmp_path / "bad_ckpt.json"
+    bad.write_text(json.dumps(ckpt))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "bad checkpoint config: " in err and "'task'" in err
+    assert "config config" not in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_eval_on_a_truncated_checkpoint_names_the_file(tmp_path, capsys, gated_run):
     ckpt, data = gated_run
     bad = tmp_path / "bad_ckpt.json"
@@ -670,6 +684,20 @@ def test_seed_beyond_int64_exits_1_before_training(tmp_path, capsys, command, se
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_repeated_seed_exits_1_before_training(tmp_path, capsys, command):
+    # a seed trained twice would count one run as two and shrink the reported std
+    cfg = json.loads(json.dumps(BASE_CONFIG))
+    cfg["model"]["base"] = "gatedgcn"
+    cfg["seeds"] = [1, 2, 1]
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "seeds[2] repeats seed 1" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_d_in_not_matching_the_data_exits_1(tmp_path, capsys):
     cfg = json.loads(json.dumps(BASE_CONFIG))
     cfg["model"]["d_in"] = 3  # sbm node features have width 2
@@ -733,6 +761,15 @@ def test_gradcheck_size_below_its_least_exits_1(capsys, flag, value):
     assert main(["gradcheck", "--variant", "nlmi-gcn", flag, value]) == 1
     err = capsys.readouterr().err
     assert f"{flag} must be an integer >= " in err and f"got {value}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gradcheck_seed_beyond_int64_exits_1(capsys):
+    # the rng would reduce it mod 2**64; train and ablate reject the same seed
+    assert main(["gradcheck", "--variant", "gcn", "--width", "3", "--nodes", "4",
+                 "--seed", str(10 ** 29)]) == 1
+    err = capsys.readouterr().err
+    assert f"--seed must be an integer, got {10 ** 29}" in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -3,10 +3,12 @@
 ``perfbench/tracing.install`` reports the names it cannot find instead of
 failing, so a rename in ``src/`` would silently drop spans from the traced
 run. This guard keeps that list empty and checks that the originals come
-back afterwards.
+back afterwards. A tensor op that ``tracing.ALL_OPS`` does not list would
+go untraced just as silently, so the op list is checked against the module.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 from minignn import cli, generators, graph, layers, tensor, training
@@ -40,3 +42,14 @@ def test_tracing_install_finds_every_name_and_restores_them():
         restore()
     assert [getattr(owner, attr) for owner, attr in SAMPLE] == before
     assert generators.GENERATORS == table
+
+
+def test_all_ops_lists_every_recording_op_of_tensor():
+    tracing = load_tracing()
+    recording = {name for name, fn in vars(tensor).items()
+                 if inspect.isfunction(fn) and fn.__module__ == tensor.__name__
+                 and "_record" in fn.__code__.co_names}
+    assert "matmul" in recording and "segment_sum" in recording
+    assert sorted(recording - set(tracing.ALL_OPS)) == []
+    assert [name for name in tracing.ALL_OPS
+            if not inspect.isfunction(getattr(tensor, name, None))] == []

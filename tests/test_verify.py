@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from minignn import tensor as T
+from minignn.graph import batch
 from minignn.layers import Model, ModelConfig
 from minignn.rng import Rng
-from minignn.verify import (_random_graph, edge_order_harness, equivariance_harness,
-                            make_zero_encoder_twin, naive_forward_oracle,
-                            oracle_harness, reduction_harness)
+from minignn.verify import (VARIANTS, _random_graph, edge_order_harness,
+                            equivariance_harness, gradcheck_variant, make_zero_encoder_twin,
+                            naive_forward_oracle, oracle_harness, reduction_harness)
 
 
 def build(base, nlmi, terms=(True, True, True), seed=0, k_layers=2, width=4):
@@ -106,3 +107,40 @@ def test_random_graph_bytes_are_pinned(with_edge_features, digest):
     if with_edge_features:
         h.update(g.edge_features.tobytes())
     assert h.hexdigest() == digest
+
+
+def reference_gradcheck_errors(variant, d, n_nodes, seed, h=1e-5):
+    """gradcheck_variant's error per weight, with the full-model f for every
+    weight, the head's too."""
+    base, nlmi = VARIANTS[variant]
+    rng = Rng(seed)
+    g = _random_graph(n_nodes, rng.spawn("graph"), with_edge_features=base == "gatedgcn")
+    config = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=1,
+                         width=d, d_in=3, d_edge=2, n_classes=2)
+    model = Model(config, rng.spawn("model"))
+    view = batch([g])
+
+    def f(_x):
+        pred = model.forward(view, training=False)
+        return T.sum_all(T.mul(pred, pred))
+
+    return [T.finite_diff_check(f, p, h) for p in model.params().values()]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_gradcheck_head_stage_is_exact(monkeypatch, variant):
+    # the head's weights are checked on embeddings computed once; every error,
+    # and so the maximum, must equal the full-model check's, bit for bit
+    check, errors = T.finite_diff_check, []
+
+    def recording(f, x, h):
+        errors.append(check(f, x, h))
+        return errors[-1]
+
+    for seed in (0, 1):
+        expected = reference_gradcheck_errors(variant, 5, 5 + seed, seed)
+        errors.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "finite_diff_check", recording)
+            worst = gradcheck_variant(variant, 5, 5 + seed, seed)
+        assert errors == expected and worst == max(expected)
