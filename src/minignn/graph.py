@@ -94,8 +94,9 @@ class GraphView:
     ``src``, ``dst`` and ``graph_id`` are ``tensor.Rows``, so every gather,
     segment sum and backward scatter of all layers shares one flattened
     index each. ``edge_perm`` takes stored edge rows to canonical ones
-    (sorted by destination, then source); ``in_deg`` is the (n, 1)
-    in-degree column, and ``inv_deg`` a constant Tensor of 1 / max(in_deg, 1).
+    (sorted by destination, then source). ``in_deg`` and ``inv_deg`` are
+    constant (n, 1) Tensors of the in-degree k and of 1 / max(k, 1), and
+    ``inv_size`` a (num_graphs, 1) one of 1 / the graph's node count.
     Repeated forwards of one view share its indices.
     """
 
@@ -112,9 +113,10 @@ class GraphView:
         self.src = Rows(src[order], n)
         self.dst = Rows(dst[order], n)
         self.edge_perm = order
-        self.in_deg = np.bincount(dst, minlength=n).astype(float)[:, None]
-        self.inv_deg = Tensor(1.0 / np.maximum(self.in_deg, 1.0))
+        self.in_deg = Tensor(np.bincount(dst, minlength=n).astype(float)[:, None])
+        self.inv_deg = Tensor(1.0 / np.maximum(self.in_deg.data, 1.0))
         self.graph_id = Rows(graph_id, num_graphs)
+        self.inv_size = Tensor(1.0 / np.bincount(graph_id, minlength=num_graphs)[:, None])
 
 
 def batch(graphs: list[Graph]) -> GraphView:

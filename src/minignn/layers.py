@@ -86,15 +86,16 @@ class BatchNorm:
         return T.add(T.mul(T.mul(xc, inv_std), self.gamma), self.beta)
 
 
-def interaction_encoding(total: Tensor, fc: Linear, deg: np.ndarray) -> Tensor:
+def interaction_encoding(total: Tensor, fc: Linear, inv_deg: Tensor, deg: Tensor) -> Tensor:
     """Per-node sum of fc(concat(m, total_at_dst - m)) over incoming messages m.
 
     In closed form on node rows, from each node's message total T and its
-    in-degree k (deg, an (n, 1) column). For fc.weight = [W1; W2] and mean
-    message M = T/k: T·W1 + (k-1)·T·W2 + k·b = k·fc(concat(M, T - M)).
+    in-degree k (deg and inv_deg: (n, 1) columns of k and 1 / max(k, 1)).
+    For fc.weight = [W1; W2] and mean message M = T/k:
+    T·W1 + (k-1)·T·W2 + k·b = k·fc(concat(M, T - M)).
     """
-    mean = T.mul(total, Tensor(1.0 / np.maximum(deg, 1.0)))
-    return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), Tensor(deg))
+    mean = T.mul(total, inv_deg)
+    return T.mul(fc(T.concat_cols(mean, T.sub(total, mean))), deg)
 
 
 def _encoder_tensors(fc: Linear | None, prefix: str) -> dict[str, Tensor]:
@@ -117,7 +118,7 @@ class GcnLayer:
                       view.inv_deg)  # sum of h_v W / k
         pre = total
         if self.fc is not None:
-            pre = T.add(pre, interaction_encoding(total, self.fc, view.in_deg))
+            pre = T.add(pre, interaction_encoding(total, self.fc, view.inv_deg, view.in_deg))
         return T.relu(pre)
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
@@ -177,7 +178,7 @@ class GatedGcnLayer:
         if use_msg:
             parts.append(total)
         if self.fc is not None:
-            parts.append(interaction_encoding(total, self.fc, view.in_deg))
+            parts.append(interaction_encoding(total, self.fc, view.inv_deg, view.in_deg))
         pre = reduce(T.add, parts)  # ModelConfig rejects terms that read no message
 
         h_new = T.add(T.relu(self.bn(pre, training)), h)
@@ -196,9 +197,7 @@ class GatedGcnLayer:
 
 def mean_pool(h: Tensor, view: GraphView) -> Tensor:
     """Per-graph mean of node embeddings."""
-    sums = T.segment_sum(h, view.graph_id, view.num_graphs)
-    counts = np.bincount(view.graph_id.idx, minlength=view.num_graphs).astype(float)
-    return T.mul(sums, Tensor(1.0 / counts[:, None]))
+    return T.mul(T.segment_sum(h, view.graph_id, view.num_graphs), view.inv_size)
 
 
 class MlpHead:
@@ -305,6 +304,11 @@ class Model:
     def embeddings(self, g: Graph | GraphView, training: bool = False):
         """Final node embeddings and the view they were computed over."""
         view = g if isinstance(g, GraphView) else batch([g])
+        h, e = self.encode(view)
+        return self.propagate(h, e, view, training), view
+
+    def encode(self, view: GraphView):
+        """Input node embeddings, and edge embeddings (None without an edge encoder)."""
         h = self.node_encoder(Tensor(view.node_features))
         e = None
         if self.edge_encoder is not None:
@@ -312,6 +316,10 @@ class Model:
             if raw is None:
                 raw = np.zeros((view.num_edges, self.config.d_edge))
             e = self.edge_encoder(Tensor(raw[view.edge_perm]))  # canonical order
+        return h, e
+
+    def propagate(self, h: Tensor, e: Tensor | None, view: GraphView, training=False) -> Tensor:
+        """The layers, from encoded embeddings (h, e) to final node embeddings."""
         for k, layer in enumerate(self.layers):
             if isinstance(layer, GcnLayer):
                 h = layer.forward(h, view, training)
@@ -320,7 +328,7 @@ class Model:
                 if k + 1 < len(self.layers):  # the last layer's edge update feeds nothing
                     e = T.add(T.relu(e_pre), e)
             T.assert_finite(h, f"layer {k} node output")
-        return h, view
+        return h
 
     def forward(self, g: Graph | GraphView, training: bool = False) -> Tensor:
         h, view = self.embeddings(g, training)

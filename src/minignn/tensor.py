@@ -5,7 +5,9 @@ backward rule and, per input, the input's Node, the input itself if a leaf,
 or None if it needs no gradient. Rules keep only the arrays they read, so an
 op output is freed when the forward drops it unless a rule reads it. What
 the rules read lives as long as the loss, so ``backward`` may run again; each
-call adds a full pass of gradients (callers zero grads between steps).
+call adds a full pass of gradients (callers zero grads between steps). Under
+``no_grad``, or when no input requires a gradient, an op returns its output
+as soon as it is computed and keeps nothing: no Node, no rule, no array.
 
 Broadcasting is restricted to two rules, both for the second operand of a
 binary elementwise op on an (n, d) tensor. A (d,) operand is applied to
@@ -80,10 +82,10 @@ def no_grad():
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _GRAD_ENABLED and any([t.requires_grad for t in inputs]):
-        out.requires_grad = True
-        out.node = Node(tuple([(t.node or t) if t.requires_grad else None for t in inputs]),
-                        backward_fn)
+    """Attach out's Node; the op calls this only with grad on and an input needing it."""
+    out.requires_grad = True
+    out.node = Node(tuple([(t.node or t) if t.requires_grad else None for t in inputs]),
+                    backward_fn)
     return out
 
 
@@ -153,6 +155,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
         raise ShapeError(f"matmul: incompatible shapes {sa} and {sb}")
     out = Tensor(a.data @ b.data)
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
     x = a.data if b.requires_grad else None  # each operand is read for the other's gradient
     w = b.data if a.requires_grad else None
 
@@ -165,6 +168,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
     need_b = b.requires_grad
 
     def backward_fn(g):
@@ -176,6 +180,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "sub")
     out = Tensor(a.data - b.data)
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
     need_b = b.requires_grad
 
     def backward_fn(g):
@@ -187,6 +192,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     bc = _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
     x = a.data if b.requires_grad else None  # each factor is read for the other's gradient
     y = b.data if a.requires_grad else None
 
@@ -200,6 +206,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
+    if not (_GRAD_ENABLED and a.requires_grad): return out
 
     def backward_fn(g):
         return (g * c,)
@@ -209,6 +216,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     mask = a.data > 0.0  # subgradient 0 at 0
 
     def backward_fn(g):
@@ -218,8 +226,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(s)
+    s = np.negative(a.data, out=np.empty(a.data.shape))  # 1 / (1 + exp(-x)), in one buffer
+    np.exp(s, out=s)
+    s += 1.0
+    out = Tensor(np.divide(1.0, s, out=s))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
 
     def backward_fn(g):
         return (g * s * (1.0 - s),)
@@ -228,8 +239,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-    out = Tensor(e)
+    out = Tensor(np.exp(a.data))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
+    e = out.data
 
     def backward_fn(g):
         return (g * e,)
@@ -238,8 +250,9 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
+    out = Tensor(np.log(a.data))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     x = a.data
-    out = Tensor(np.log(x))
 
     def backward_fn(g):
         return (g / x,)
@@ -250,8 +263,9 @@ def log(a: Tensor) -> Tensor:
 def powc(a: Tensor, p: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     p = float(p)
+    out = Tensor(a.data ** p)
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     x = a.data
-    out = Tensor(x ** p)
 
     def backward_fn(g):
         return (g * p * x ** (p - 1.0),)
@@ -261,6 +275,7 @@ def powc(a: Tensor, p: float) -> Tensor:
 
 def absolute(a: Tensor) -> Tensor:
     out = Tensor(np.abs(a.data))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     sgn = np.sign(a.data)
 
     def backward_fn(g):
@@ -274,6 +289,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if len(sa) != 2 or len(sb) != 2 or sa[0] != sb[0]:
         raise ShapeError(f"concat_cols: incompatible shapes {sa} and {sb}")
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
+    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
     da = sa[1]
 
     def backward_fn(g):
@@ -284,6 +300,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     shape = a.data.shape
 
     def backward_fn(g):
@@ -297,6 +314,7 @@ def sum_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"sum_rows expects a matrix, got shape {a.shape}")
     out = Tensor(a.data.sum(axis=0))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     n = a.data.shape[0]
 
     def backward_fn(g):
@@ -310,6 +328,7 @@ def sum_cols(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"sum_cols expects a matrix, got shape {a.shape}")
     out = Tensor(a.data.sum(axis=1, keepdims=True))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
     d = a.data.shape[1]
 
     def backward_fn(g):
@@ -359,7 +378,8 @@ def _rows(idx, n: int, opname: str) -> Rows:
 
 def gather_rows(a: Tensor, idx: Rows | np.ndarray) -> Tensor:
     rows = _rows(idx, a.data.shape[0], "gather_rows")
-    out = Tensor(a.data[rows.idx])
+    out = Tensor(a.data.take(rows.idx, axis=0))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
 
     def backward_fn(g):
         return (rows.scatter(g),)
@@ -379,9 +399,10 @@ def segment_sum(a: Tensor, idx: Rows | np.ndarray, num_segments: int) -> Tensor:
     if a.data.ndim != 2 or rows.idx.shape != a.data.shape[:1]:
         raise ShapeError(f"segment_sum: data {a.shape} vs index {rows.idx.shape}")
     out = Tensor(rows.scatter(a.data))
+    if not (_GRAD_ENABLED and a.requires_grad): return out
 
     def backward_fn(g):
-        return (g[rows.idx],)
+        return (g.take(rows.idx, axis=0),)
 
     return _record(out, (a,), backward_fn)
 

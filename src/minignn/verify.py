@@ -54,20 +54,26 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
                          width=d, d_in=3, d_edge=2, n_classes=2)
     model = Model(config, rng.spawn("model"))
     view = batch([g])  # every forward of the check shares g's indices
-    with T.no_grad():  # a head weight's f runs the head alone on the arrays every forward makes
-        fixed, _ = model.embeddings(view, training=False)
+    with T.no_grad():  # a stage's forward starts from the arrays a full forward makes there
+        h0, e0 = model.encode(view)
+        fixed = model.propagate(h0, e0, view)
 
     def f(_x, _model=model, _view=view):
         pred = _model.forward(_view, training=False)
+        return T.sum_all(T.mul(pred, pred))
+
+    def f_layers(_x, _model=model, _h=h0, _e=e0, _view=view):
+        pred = _model.head(_model.propagate(_h, _e, _view), _view)
         return T.sum_all(T.mul(pred, pred))
 
     def f_head(_x, _head=model.head, _h=fixed, _view=view):
         pred = _head(_h, _view)
         return T.sum_all(T.mul(pred, pred))
 
+    stages = {"layers": f_layers, "head": f_head}  # encoder weights take the full f
     worst = 0.0
     for name, p in model.params().items():
-        worst = max(worst, T.finite_diff_check(f_head if name.startswith("head.") else f, p, h))
+        worst = max(worst, T.finite_diff_check(stages.get(name.split(".")[0], f), p, h))
     return worst
 
 

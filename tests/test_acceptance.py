@@ -78,7 +78,8 @@ def test_criterion_2_identity_suite():
 
         msg = Tensor(m)
         total = T.segment_sum(msg, dst, n)
-        enc = interaction_encoding(total, fc, batch([g]).in_deg)
+        view = batch([g])
+        enc = interaction_encoding(total, fc, view.inv_deg, view.in_deg)
 
         direct = np.zeros((n, d))
         for ei in range(g.num_edges):
@@ -287,9 +288,11 @@ def test_criterion_9_overfit_guard():
 def test_criterion_10_determinism(sbm_experiment):
     splits, _, nlmi = sbm_experiment
     rerun = run_seeds(splits, sbm_model_config(True), SBM_TRAIN, [SBM_SEEDS[0]])
-    first = [(r.epoch, r.split, r.loss, r.value) for r in nlmi["histories"][SBM_SEEDS[0]]]
-    second = [(r.epoch, r.split, r.loss, r.value) for r in rerun["histories"][SBM_SEEDS[0]]]
-    same_values = (first == second)  # exact float equality, no tolerance
+    def records(run):  # by repr, bit for bit: -0.0 differs from 0.0, and any nan equals nan
+        return [repr((r.epoch, r.split, r.loss, r.value)) for r in run["histories"][SBM_SEEDS[0]]]
+
+    first, second = records(nlmi), records(rerun)
+    same_values = (first == second)
     same_metric = rerun["values"][0] == nlmi["values"][0]
     ok = same_values and same_metric
     report("criterion 10 (determinism)", ok,

@@ -16,7 +16,9 @@ from minignn.verify import _random_graph, subtract_form_encoding
 
 
 def degrees(dst, n):
-    return np.bincount(dst, minlength=n).astype(float)[:, None]
+    """interaction_encoding's degree columns, 1 / max(k, 1) and the in-degree k."""
+    deg = np.bincount(dst, minlength=n).astype(float)[:, None]
+    return Tensor(1.0 / np.maximum(deg, 1.0)), Tensor(deg)
 
 
 def simple_graph(num_nodes, edges, d_in=2, seed=0, **kwargs):
@@ -80,7 +82,7 @@ def test_encoding_single_neighbour_rest_is_zero():
     m = rng.normals((1, d))
     msg = Tensor(m)
     total = T.segment_sum(msg, np.array([0]), 1)
-    enc = interaction_encoding(total, fc, np.ones((1, 1)))
+    enc = interaction_encoding(total, fc, *degrees(np.array([0]), 1))
     direct = np.concatenate([m, np.zeros((1, d))], axis=1) @ fc.weight.data + fc.bias.data
     npt.assert_allclose(enc.data, direct, atol=1e-15)
 
@@ -94,7 +96,7 @@ def test_zero_encoder_gives_zero_encoding():
     msg = Tensor(rng.normals((4, d)))
     dst = np.array([0, 0, 1, 1])
     total = T.segment_sum(msg, dst, 2)
-    enc = interaction_encoding(total, fc, degrees(dst, 2))
+    enc = interaction_encoding(total, fc, *degrees(dst, 2))
     npt.assert_array_equal(enc.data, np.zeros((2, d)))
 
 
@@ -106,7 +108,7 @@ def test_subtract_form_equals_direct_rest_sum():
     m = rng.normals((6, d))
     msg = Tensor(m)
     total = T.segment_sum(msg, dst, 3)
-    enc = interaction_encoding(total, fc, degrees(dst, 3))
+    enc = interaction_encoding(total, fc, *degrees(dst, 3))
 
     direct = np.zeros((3, d))
     for i in range(6):
@@ -128,7 +130,7 @@ def test_closed_form_encoding_matches_the_subtract_form(as_rows):
     fc = Linear(2 * d, d, rng.spawn("fc"))
     weights = Tensor(rng.normals((n, d)))
     runs = []
-    for encode in (lambda msg, total: interaction_encoding(total, fc, degrees(dst, n)),
+    for encode in (lambda msg, total: interaction_encoding(total, fc, *degrees(dst, n)),
                    lambda msg, total: subtract_form_encoding(msg, total, fc, index, n)):
         msg = Tensor(m0.copy(), requires_grad=True)
         fc.weight.zero_grad()
@@ -328,7 +330,7 @@ def test_gate_sums_in_unit_interval():
     alpha, view = _gates(layer, g)
     sums = np.zeros((g.num_nodes, 3))
     np.add.at(sums, view.dst.idx, alpha)
-    present = view.in_deg[:, 0] > 0
+    present = view.in_deg.data[:, 0] > 0
     assert np.all(sums[present] > 0.0)
     assert np.all(sums[present] <= 1.0)
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -149,6 +150,50 @@ def test_no_grad_links_nothing():
         y = T.mul(x, x)
     assert not y.requires_grad
     assert y.node is None
+
+
+X = np.abs(Rng(47).normals((3, 4))) + 0.5  # positive where log and powc read it
+# One sample call per recording op; the Tensor arguments come from a factory t.
+NO_GRAD_CASES = {
+    "matmul": lambda t: (t(X), t(X.T)),
+    "add": lambda t: (t(X), t(X[0])),
+    "sub": lambda t: (t(X), t(X[:, :1])),
+    "mul": lambda t: (t(X), t(X - 1.0)),
+    "scale": lambda t: (t(X), -2.5),
+    "relu": lambda t: (t(X - 1.0),),
+    "sigmoid": lambda t: (t(X - 1.0),),
+    "exp": lambda t: (t(X),),
+    "log": lambda t: (t(X),),
+    "powc": lambda t: (t(X), 1.5),
+    "absolute": lambda t: (t(X - 1.0),),
+    "concat_cols": lambda t: (t(X), t(X[:, :2])),
+    "sum_all": lambda t: (t(X),),
+    "sum_rows": lambda t: (t(X),),
+    "sum_cols": lambda t: (t(X),),
+    "gather_rows": lambda t: (t(X), np.array([2, 0, 1, 0])),
+    "segment_sum": lambda t: (t(X), np.array([1, 0, 1]), 2),
+}
+
+
+def test_no_grad_cases_cover_every_recording_op():
+    recording = {name for name, fn in vars(T).items()
+                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                 and "_record" in fn.__code__.co_names}
+    assert sorted(recording) == sorted(NO_GRAD_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(NO_GRAD_CASES))
+def test_an_op_that_records_nothing_computes_the_same_output(name):
+    op, args = getattr(T, name), NO_GRAD_CASES[name]
+    tracked = op(*args(lambda a: Tensor(a, requires_grad=True)))
+    assert tracked.node is not None
+    with T.no_grad():
+        untracked = [op(*args(lambda a: Tensor(a, requires_grad=True)))]
+    untracked.append(op(*args(Tensor)))  # grad on, but no input needs a gradient
+    for out in untracked:
+        assert out.node is None and out.requires_grad is False
+        assert out.data.dtype == tracked.data.dtype and out.data.shape == tracked.data.shape
+        assert np.array_equal(out.data, tracked.data)
 
 
 def test_graph_lives_as_long_as_its_loss():

@@ -128,9 +128,10 @@ def reference_gradcheck_errors(variant, d, n_nodes, seed, h=1e-5):
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
-def test_gradcheck_head_stage_is_exact(monkeypatch, variant):
-    # the head's weights are checked on embeddings computed once; every error,
-    # and so the maximum, must equal the full-model check's, bit for bit
+def test_gradcheck_stages_are_exact(monkeypatch, variant):
+    # layer weights are checked from encoder outputs computed once, and head
+    # weights on embeddings computed once; every error, and so the maximum,
+    # must equal the full-model check's, bit for bit
     check, errors = T.finite_diff_check, []
 
     def recording(f, x, h):
