@@ -56,15 +56,12 @@ def random_edges(n: int, p, rng: Rng, fixed=frozenset()) -> np.ndarray:
     fixed are kept and draw nothing.
     """
     rows, cols = _upper_pairs(n)
-    keep = np.zeros(len(rows), dtype=bool)
-    if fixed:
-        is_fixed = np.zeros((n, n), dtype=bool)
-        is_fixed[tuple(np.array(list(fixed)).T)] = True
-        keep = is_fixed[rows, cols]
-    free = ~keep
-    p = p[rows[free], cols[free]] if isinstance(p, np.ndarray) else p
-    keep[free] = rng.uniforms(int(free.sum())) < p
     adj = np.zeros((n, n), dtype=bool)
+    if fixed:
+        adj[tuple(np.array(list(fixed)).T)] = True
+        free = ~adj[rows, cols]
+        rows, cols = rows[free], cols[free]
+    keep = rng.uniforms(len(rows)) < (p[rows, cols] if isinstance(p, np.ndarray) else p)
     adj[rows[keep], cols[keep]] = True
     return _both_directions(adj)
 
@@ -99,8 +96,8 @@ def gen_sbm_communities(
 
     x = np.zeros((n_nodes, n_communities))
     n_hints = int(round(hint_fraction * n_nodes))
-    for u in rng.sample(n_nodes, n_hints):
-        x[u, labels[u]] = 1.0
+    hints = rng.sample(n_nodes, n_hints)
+    x[hints, labels[hints]] = 1.0
     if feature_noise > 0.0:
         x = x + feature_noise * rng.normals(x.shape)
 

@@ -327,6 +327,7 @@ class Model:
                 h, e_pre = layer.forward(h, e, view, training)
                 if k + 1 < len(self.layers):  # the last layer's edge update feeds nothing
                     e = T.add(T.relu(e_pre), e)
+                del e_pre  # an (E, d) array the next layer's forward must not hold
             T.assert_finite(h, f"layer {k} node output")
         return h
 

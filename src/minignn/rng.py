@@ -7,9 +7,10 @@ randomness in the project flows from one root seed through ``Rng.spawn``,
 which derives independent sub-streams from string labels.
 
 SplitMix64 is counter-based: draw k of a stream at state s is
-``mix(s + k * GAMMA mod 2**64)``. So ``uniforms`` computes n draws as one
-numpy uint64 array, bit for bit the values of n ``uniform()`` calls, and
-leaves the state where those calls would.
+``mix(s + k * GAMMA mod 2**64)``. So ``_draws`` computes n draws as one
+numpy uint64 array, bit for bit the values of n ``next_u64()`` calls, and
+leaves the state where those calls would; ``uniforms``, ``normals`` and
+long shuffles are built on it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ def _size(shape) -> tuple[tuple[int, ...], int]:
     return shape, math.prod(shape)
 
 
+# From this length on, shuffle takes its draws as one array. sample(n, n),
+# scalar loop against array path, on a 2-vCPU x86 host: 8.9 against 9.4 µs
+# at n = 14, 10.2 against 9.6 µs at 16, 36.5 against 11.7 µs at 60.
+SHUFFLE_VECTOR_MIN = 16
+
+
 def _fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -74,15 +81,19 @@ class Rng:
         u = self.next_u64() >> 11
         return low + (high - low) * (u * (1.0 / (1 << 53)))
 
-    def uniforms(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """Array of uniform() draws, taken in C order."""
-        shape, n = _size(shape)
+    def _draws(self, n: int) -> np.ndarray:
+        """The next n next_u64() values, as a uint64 array."""
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= _U64[_GAMMA]
         z += np.uint64(self._state)
-        u = _mix_array(z)
-        u >>= _U64[11]
         self._state = (self._state + n * _GAMMA) & _MASK
+        return _mix_array(z)
+
+    def uniforms(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """Array of uniform() draws, taken in C order."""
+        shape, n = _size(shape)
+        u = self._draws(n)
+        u >>= _U64[11]
         return (low + (high - low) * (u * (1.0 / (1 << 53)))).reshape(shape)
 
     def normal(self) -> float:
@@ -97,20 +108,21 @@ class Rng:
     def normals(self, shape) -> np.ndarray:
         """Array of normal() draws, taken in C order.
 
-        The pairs come from one uniforms() call. math's log and cos are kept
-        per element, since numpy's differ from them in the last bit. A pair
-        that normal() would redraw sends the whole call down the scalar path.
+        The pairs come from one uniforms() call. math's log and cos are
+        mapped over them, since numpy's differ in the last bit; the rest
+        (2πu2, −2·log, sqrt, the product) is correctly rounded either way,
+        so it runs in numpy. A pair that normal() would redraw sends the
+        whole call down the scalar path.
         """
         shape, n = _size(shape)
         start = self._state
-        pairs = self.uniforms((n, 2))
-        if (pairs[:, 0] <= 1e-300).any():
+        u1, u2 = self.uniforms((n, 2)).T
+        if (u1 <= 1e-300).any():
             self._state = start
-            vals = [self.normal() for _ in range(n)]
-        else:
-            vals = [math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-                    for u1, u2 in pairs.tolist()]
-        return np.array(vals, dtype=np.float64).reshape(shape)
+            return np.array([self.normal() for _ in range(n)], dtype=np.float64).reshape(shape)
+        log_u1 = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+        cos_u2 = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, n)
+        return (np.sqrt(-2.0 * log_u1) * cos_u2).reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (no modulo bias)."""
@@ -123,8 +135,24 @@ class Rng:
                 return u % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
+        """In-place Fisher-Yates: swap i takes j = randint(i + 1), i from the end.
+
+        From SHUFFLE_VECTOR_MIN items on, the n - 1 draws come from one
+        _draws call and j = u mod (i + 1) from numpy. randint(i + 1) rejects
+        only draws of 2**64 - n or more; if one comes up, the state goes back
+        and the scalar loop runs, so both paths give the same swaps.
+        """
+        n = len(items)
+        if n >= SHUFFLE_VECTOR_MIN:
+            start = self._state
+            u = self._draws(n - 1)
+            if int(u.max()) < (_MASK + 1) - n:
+                js = (u % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+                for i, j in zip(range(n - 1, 0, -1), js):
+                    items[i], items[j] = items[j], items[i]
+                return
+            self._state = start
+        for i in range(n - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
 

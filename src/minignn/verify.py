@@ -5,10 +5,8 @@ literal per-node, per-neighbour loops in plain numpy, recomputing each
 rest-of-neighbourhood sum directly instead of using the closed form. The
 harnesses below compare the vectorized path against this oracle, against
 node permutations, and against the base layers when the interaction
-encoder is zeroed. ``subtract_form_encoding`` is the interaction encoding
-edge by edge, a differentiable reference for the closed form, and
-``gradcheck_variant`` finite-difference checks one layer variant on a
-random graph.
+encoder is zeroed. ``gradcheck_variant`` finite-difference checks one
+layer variant on a random graph.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from .graph import Graph, batch
 from .layers import BN_EPS, GATE_EPS, GatedGcnLayer, GcnLayer, Linear, Model, ModelConfig
 from .rng import Rng
 from . import tensor as T
-from .tensor import Tensor
 
 VARIANTS = {
     "gcn": ("gcn", False),
@@ -75,14 +72,6 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
     for name, p in model.params().items():
         worst = max(worst, T.finite_diff_check(stages.get(name.split(".")[0], f), p, h))
     return worst
-
-
-def subtract_form_encoding(msg: Tensor, total: Tensor, fc: Linear,
-                           dst: T.Rows | np.ndarray, num_nodes: int) -> Tensor:
-    """The interaction encoding edge by edge: each message m is encoded as
-    fc(concat(m, total_at_dst - m)) on an (E, 2d) row, then summed per node."""
-    rest = T.sub(T.gather_rows(total, dst), msg)
-    return T.segment_sum(fc(T.concat_cols(msg, rest)), dst, num_nodes)
 
 
 def _neighbours(g: Graph) -> list[list[tuple[int, int]]]:

@@ -396,8 +396,11 @@ def test_frozen_field_names(tmp_path):
     assert set(first) == {"n", "edges", "x", "y"}
 
 
-# sha256 of the saved file for one small spec per generator. They pin the
-# generators' rng stream: a faster draw path must reproduce these bytes.
+# sha256 of the saved file for a small and a larger spec per generator, keyed
+# "<generator>" and "<generator>-large". They pin the generators' rng stream: a
+# faster draw path must reproduce these bytes. The larger specs were taken
+# before shuffle had an array path; their sbm and pattern graphs (60 and 40
+# nodes) sample on it.
 PINNED_DATASETS = {
     "sbm": ("node-class", dict(n_nodes=12, n_communities=3, p_in=0.6, p_intra=0.1,
                                feature_noise=0.2),
@@ -410,13 +413,24 @@ PINNED_DATASETS = {
                   "13cebffef0904dcec6f2b1c9147e1f539a80263f104989b1b443d0c952acdfa9"),
     "density": ("graph-class", dict(n_nodes=8, p_sparse=0.1, p_dense=0.6),
                 "1fe9e2dec0ebb0bf6c8527316a54a04d89f2fb3394a2f3c918beda288adf82f4"),
+    "sbm-large": ("node-class", dict(n_nodes=60, n_communities=3, p_in=0.3, p_intra=0.05,
+                                     feature_noise=0.5),
+                  "7acda94c11bee5a83db8bd02ab626a11db7dc722edf516b0e8a90e06bc066dfe"),
+    "pattern-large": ("node-class", dict(n_base=40, pattern_size=12),
+                      "5dcf3baecce1329e8d148809235c7cdcce3bf66ebd2c3dacb87babb0870655f7"),
+    "tsp-large": ("edge-pred", dict(n_cities=8, k_nn=7),
+                  "4d2f9564f095a262a34f10d40259dfdaa70508a801cc6efaf1361c206fd5a829"),
+    "triangles-large": ("graph-reg", dict(n_min=20, n_max=40, noise_sigma=0.1),
+                        "86a6e48b42aed061e3cbfa57a6c2a75b7e61cb4a3aa635e1bdd662665e3e33a3"),
+    "density-large": ("graph-class", dict(n_nodes=30, p_sparse=0.1, p_dense=0.5),
+                      "71f3e8d03cc8aeb08467fddd8233bf5aadc2ff420d7caec858b4751c9372b46f"),
 }
 
 
-@pytest.mark.parametrize("generator", sorted(PINNED_DATASETS))
-def test_saved_dataset_bytes_are_pinned(tmp_path, generator):
-    task, params, digest = PINNED_DATASETS[generator]
-    spec = DatasetSpec(task=task, generator=generator, params=params,
+@pytest.mark.parametrize("key", sorted(PINNED_DATASETS))
+def test_saved_dataset_bytes_are_pinned(tmp_path, key):
+    task, params, digest = PINNED_DATASETS[key]
+    spec = DatasetSpec(task=task, generator=key.removesuffix("-large"), params=params,
                        n_train=2, n_val=1, n_test=1, seed=21)
     path = tmp_path / "data.json"
     save_dataset(path, spec, generate_dataset(spec))

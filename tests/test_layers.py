@@ -12,13 +12,20 @@ from minignn.layers import (BN_EPS, GATE_EPS, BatchNorm, GatedGcnLayer, GcnLayer
                             Model, ModelConfig, interaction_encoding, mean_pool)
 from minignn.rng import Rng
 from minignn.tensor import NumericsError, Tensor, backward, finite_diff_check
-from minignn.verify import _random_graph, subtract_form_encoding
+from minignn.verify import _random_graph
 
 
 def degrees(dst, n):
     """interaction_encoding's degree columns, 1 / max(k, 1) and the in-degree k."""
     deg = np.bincount(dst, minlength=n).astype(float)[:, None]
     return Tensor(1.0 / np.maximum(deg, 1.0)), Tensor(deg)
+
+
+def subtract_form_encoding(msg, total, fc, dst, num_nodes):
+    """The interaction encoding edge by edge: each message m is encoded as
+    fc(concat(m, total_at_dst - m)) on an (E, 2d) row, then summed per node."""
+    rest = T.sub(T.gather_rows(total, dst), msg)
+    return T.segment_sum(fc(T.concat_cols(msg, rest)), dst, num_nodes)
 
 
 def simple_graph(num_nodes, edges, d_in=2, seed=0, **kwargs):
@@ -272,6 +279,30 @@ def test_training_forward_keeps_three_edge_row_arrays_per_gated_layer(monkeypatc
     gc.collect()
     assert len(edge_rows) > 6
     assert sum(ref() is not None for ref in edge_rows) == 3 * cfg.k_layers
+
+
+def test_no_grad_propagate_frees_an_edge_pre_activation_before_the_next_layer():
+    rng = Rng(37)
+    view = batch([_random_graph(9, rng.spawn("g"), True)])
+    cfg = ModelConfig(task="node-class", base="gatedgcn", nlmi=True, k_layers=2, width=4,
+                      d_in=3, d_edge=2)
+    model = Model(cfg, rng.spawn("m"))
+    first, second = model.layers
+    e_pre, alive = [], []
+
+    def first_forward(*args, _forward=first.forward):
+        h, e = _forward(*args)
+        e_pre.append(weakref.ref(e.data))
+        return h, e
+
+    def second_forward(*args, _forward=second.forward):
+        alive.append(e_pre[0]() is not None)
+        return _forward(*args)
+
+    first.forward, second.forward = first_forward, second_forward
+    with T.no_grad():
+        model.forward(view)
+    assert alive == [False]
 
 
 # --- edge gating -----------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from minignn.rng import Rng
+from minignn.rng import SHUFFLE_VECTOR_MIN, Rng
 
 
 def test_same_seed_same_stream():
@@ -126,3 +126,58 @@ def test_normals_redraw_a_zero_u1_like_the_loop():
     expected = np.array([theirs.normal() for _ in range(6)])
     assert np.isfinite(got).all() and got.tobytes() == expected.tobytes()
     assert ours.next_u64() == theirs.next_u64()
+
+
+def scalar_shuffle(rng, items):
+    """Fisher-Yates one randint at a time, the loop every shuffle must equal."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randint(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, SHUFFLE_VECTOR_MIN - 1, SHUFFLE_VECTOR_MIN, 60, 200, 1000])
+@pytest.mark.parametrize("seed", [0, 23, 2**64 - 1])
+def test_shuffle_and_sample_equal_the_scalar_loop(n, seed):
+    ours, theirs = Rng(seed), Rng(seed)
+    got, expected = list(range(n)), list(range(n))
+    ours.shuffle(got)
+    scalar_shuffle(theirs, expected)
+    assert got == expected
+    assert ours.next_u64() == theirs.next_u64()
+    expected = list(range(n))
+    scalar_shuffle(theirs, expected)
+    assert ours.sample(n, n // 2) == expected[:n // 2]
+    assert ours.next_u64() == theirs.next_u64()
+
+
+def _unmix(out: int) -> int:
+    """The z with SplitMix64's mix(z) == out: each step of the mix is a bijection."""
+    mask = (1 << 64) - 1
+
+    def unshift(y, s):  # x with x ^ (x >> s) == y
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(out, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & mask
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask
+    return unshift(z, 30)
+
+
+def test_shuffle_redraws_a_rejected_draw_like_the_loop():
+    # This seed's first draw is 2**64 - 1, which randint(60) rejects (60 does
+    # not divide 2**64), so the loop takes 60 draws for 59 swaps.
+    n = 60
+    seed = (_unmix((1 << 64) - 1) - 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+    assert Rng(seed).next_u64() == (1 << 64) - 1
+    ours, theirs = Rng(seed), Rng(seed)
+    got, expected = list(range(n)), list(range(n))
+    ours.shuffle(got)
+    scalar_shuffle(theirs, expected)
+    assert got == expected and sorted(got) == list(range(n))
+    assert ours.next_u64() == theirs.next_u64()
+    rejected, two_draws = Rng(seed), Rng(seed)
+    rejected.randint(n)
+    two_draws.next_u64(), two_draws.next_u64()
+    assert rejected.next_u64() == two_draws.next_u64()
