@@ -1,9 +1,9 @@
 """Synthetic graph task generators and the dataset file format.
 
 Each generator is pure given (parameters, rng): the same seed yields a
-byte-identical dataset. Labels come from exact oracles (exhaustive tour
-enumeration for the routing task, direct triangle enumeration for the
-regression target), not from approximations.
+byte-identical dataset. Labels are exact, never approximated: the routing
+task's tour by exhaustive enumeration, the regression target's triangle
+count by an integer matrix identity (``count_triangles``).
 
 Every random edge is drawn by ``random_edges``: the pairs u < v that are
 not fixed take one ``rng.uniforms`` call, one draw per pair in (u, v)
@@ -53,12 +53,12 @@ def random_edges(n: int, p, rng: Rng, fixed=frozenset()) -> np.ndarray:
     Each pair u < v that is not in fixed takes one draw of a single
     rng.uniforms call, in (u, v) order, and is kept when its draw is below
     p[u][v]; p is one probability or an (n, n) array of them. Pairs in
-    fixed are kept and draw nothing.
+    fixed, any collection of (u, v) pairs, are kept and draw nothing.
     """
     rows, cols = _upper_pairs(n)
     adj = np.zeros((n, n), dtype=bool)
     if fixed:
-        adj[tuple(np.array(list(fixed)).T)] = True
+        adj[tuple(zip(*fixed))] = True
         free = ~adj[rows, cols]
         rows, cols = rows[free], cols[free]
     keep = rng.uniforms(len(rows)) < (p[rows, cols] if isinstance(p, np.ndarray) else p)
@@ -190,15 +190,18 @@ def gen_tsp_instance(n_cities: int, k_nn: int, rng: Rng) -> Graph:
 # --- closed-form graph statistic (graph regression) -------------------------
 
 def count_triangles(edges: np.ndarray, num_nodes: int) -> int:
-    """Exhaustive triangle enumeration over node triples."""
-    adj = [set() for _ in range(num_nodes)]
-    for s, d in edges:
-        adj[s].add(int(d))
-    count = 0
-    for u, v, w in itertools.combinations(range(num_nodes), 3):
-        if v in adj[u] and w in adj[u] and w in adj[v]:
-            count += 1
-    return count
+    """Number of node triples u < v < w with edges u->v, u->w and v->w.
+
+    With U the strict upper adjacency (1 at [u, v] for each edge u->v, u < v),
+    this is the sum of (U @ U) * U: self-loops and backward edges drop out and
+    a repeated edge counts once. Every entry and the sum are integers below
+    2**53, so the float64 product is exact.
+    """
+    src, dst = edges[:, 0], edges[:, 1]
+    up = src < dst
+    upper = np.zeros((num_nodes, num_nodes))
+    upper[src[up], dst[up]] = 1.0
+    return int(((upper @ upper) * upper).sum())
 
 
 def regression_target(g: Graph) -> float:
@@ -219,7 +222,7 @@ def gen_graph_regression(
     if not 3 <= n_min <= n_max:
         raise ValueError(f"need 3 <= n_min <= n_max, got {n_min}, {n_max}")
     n = n_min + rng.randint(n_max - n_min + 1)
-    tree = {(rng.randint(v), v) for v in range(1, n)}  # a random spanning tree keeps it connected
+    tree = [(rng.randint(v), v) for v in range(1, n)]  # a random spanning tree keeps it connected
     edges = random_edges(n, extra_edge_p, rng, fixed=tree)
     deg = np.bincount(edges[:, 1], minlength=n).astype(float)
     x = (deg / max(1, n - 1)).reshape(-1, 1)

@@ -8,6 +8,9 @@ as regression values (criterion 7: +/- 2 accuracy points, criterion 8:
 metric history to reproduce bit-for-bit.
 """
 
+import hashlib
+import multiprocessing
+import os
 import sys
 import time
 
@@ -183,12 +186,64 @@ def sbm_model_config(nlmi: bool) -> ModelConfig:
                        k_layers=4, width=16, d_in=2, n_classes=2)
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def sbm_run(splits, nlmi: bool, seed: int) -> tuple[dict, dict]:
+    """One (arm, seed) run of the criterion-7 experiment, in a pool worker,
+    with the BLAS thread variables the worker started with."""
+    env = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    return run_seeds(splits, sbm_model_config(nlmi), SBM_TRAIN, [seed]), env
+
+
+def merge_seeds(runs: list[dict]) -> dict:
+    """One-seed runs of an arm, in seed order, as the dict run_seeds returns
+    for all of their seeds."""
+    values = [value for run in runs for value in run["values"]]
+    return {
+        "metric": runs[0]["metric"],
+        "seeds": [seed for run in runs for seed in run["seeds"]],
+        "values": values,
+        "mean": float(np.mean(values)),
+        "std": float(np.std(values)),
+        "histories": {seed: h for run in runs for seed, h in run["histories"].items()},
+        "states": {seed: st for run in runs for seed, st in run["states"].items()},
+    }
+
+
 @pytest.fixture(scope="session")
 def sbm_experiment():
+    """Both arms over SBM_SEEDS: the 8 (arm, seed) runs in a spawn pool of
+    one process per usable CPU, at most 8. Spawned workers start a fresh
+    interpreter, so they load BLAS under the thread variables the root
+    conftest.py set."""
     splits = generate_dataset(SBM_SPEC)
-    base = run_seeds(splits, sbm_model_config(False), SBM_TRAIN, SBM_SEEDS)
-    nlmi = run_seeds(splits, sbm_model_config(True), SBM_TRAIN, SBM_SEEDS)
+    jobs = [(splits, nlmi, seed) for nlmi in (False, True) for seed in SBM_SEEDS]
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        done = pool.starmap_async(sbm_run, jobs, chunksize=1).get(timeout=1800)
+    runs, envs = zip(*done)
+    assert envs[0] == {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    base = merge_seeds(runs[:len(SBM_SEEDS)])
+    nlmi = merge_seeds(runs[len(SBM_SEEDS):])
     return splits, base, nlmi
+
+
+# sha256 of both arms run serially by run_seeds: the test values, each history
+# record but its time, and each best state
+SBM_RUNS_DIGEST = "37fa21582d88d0327c125cbd9e25b266ba04ec3f82f3d310c1345e981bb85b1f"
+
+
+def runs_digest(*arms: dict) -> str:
+    h = hashlib.sha256()
+    for arm in arms:
+        h.update(repr((arm["metric"], arm["seeds"], arm["values"], arm["mean"],
+                       arm["std"])).encode())
+        for seed in arm["seeds"]:
+            h.update(repr([(r.epoch, r.split, r.loss, r.metric, r.value)
+                           for r in arm["histories"][seed]]).encode())
+            h.update(repr(arm["states"][seed]).encode())
+    return h.hexdigest()
 
 
 def majority_baseline(splits) -> float:
@@ -213,6 +268,11 @@ def test_criterion_7_directional_sbm(sbm_experiment):
            f"majority floor {floor:.3f}; frozen {FROZEN_SBM_BASE_ACC}/"
            f"{FROZEN_SBM_NLMI_ACC} ±{ACC_TOL} ({time.perf_counter() - t0:.0f}s "
            "beyond training)")
+
+
+def test_sbm_pool_runs_equal_the_serial_runs(sbm_experiment):
+    _, base, nlmi = sbm_experiment
+    assert runs_digest(base, nlmi) == SBM_RUNS_DIGEST
 
 
 # --- criterion 8: tour-edge prediction sanity ----------------------------------------------
@@ -286,6 +346,7 @@ def test_criterion_9_overfit_guard():
 # --- criterion 10: bit-for-bit determinism ------------------------------------------------------
 
 def test_criterion_10_determinism(sbm_experiment):
+    # the fixture's run comes from a pool worker; the rerun runs in this process
     splits, _, nlmi = sbm_experiment
     rerun = run_seeds(splits, sbm_model_config(True), SBM_TRAIN, [SBM_SEEDS[0]])
     def records(run):  # by repr, bit for bit: -0.0 differs from 0.0, and any nan equals nan

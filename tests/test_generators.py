@@ -29,13 +29,14 @@ def pair_loop_edges(n, p, rng, fixed):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0, "matrix"])
-@pytest.mark.parametrize("with_fixed", [False, True])
+@pytest.mark.parametrize("with_fixed", [False, True, "list"])
 def test_random_edges_matches_the_pair_loop(n, p, with_fixed):
     if p == "matrix":
         p = Rng(99).uniforms((n, n))
         p[0] = 1.0  # a p of 1.0 still draws
         p[:, 1::3] = 0.0
-    fixed = {(u, u + 1) for u in range(0, n - 1, 2)} if with_fixed else frozenset()
+    pairs = [(u, u + 1) for u in range(0, n - 1, 2)]
+    fixed = {False: frozenset(), True: set(pairs), "list": pairs}[with_fixed]
     ours, theirs = Rng(5), Rng(5)
     edges = random_edges(n, p, ours, fixed)
     expected = pair_loop_edges(n, p, theirs, fixed)
@@ -255,6 +256,50 @@ def test_triangle_count_matches_adjacency_trace():
         assert g.graph_label == pytest.approx(
             trace_count / g.num_nodes + 0.5 * g.num_edges / g.num_nodes, abs=0
         )
+
+
+def loop_triangles(edges, num_nodes):
+    """The literal node-triple loop: u < v < w with edges u->v, u->w and v->w."""
+    adj = [set() for _ in range(num_nodes)]
+    for s, d in edges:
+        adj[s].add(int(d))
+    count = 0
+    for u, v, w in itertools.combinations(range(num_nodes), 3):
+        if v in adj[u] and w in adj[u] and w in adj[v]:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triangle_count_matches_the_loop_on_generated_graphs(seed):
+    rng = Rng(seed)
+    for i in range(12):
+        g = gen_graph_regression(4, 40, rng.spawn(f"g/{i}"), extra_edge_p=0.1 * (i % 6))
+        count = count_triangles(g.edges, g.num_nodes)
+        assert type(count) is int and count == loop_triangles(g.edges, g.num_nodes)
+
+
+@pytest.mark.parametrize("edges,n,expected", [
+    ([(0, 1), (0, 2), (1, 2)], 3, 1),               # one way, lower to higher
+    ([(1, 0), (2, 0), (2, 1)], 3, 0),               # backward only
+    ([(0, 1), (2, 0), (1, 2)], 3, 0),               # one backward edge
+    ([(0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2)], 3, 1),  # self-loops
+    ([(0, 1), (0, 1), (0, 2), (1, 2), (1, 2), (0, 2)], 3, 1),  # duplicate rows
+    *(([], n, 0) for n in range(4)),                # no edges
+])
+def test_triangle_count_on_directed_edge_lists(edges, n, expected):
+    edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    assert count_triangles(edges, n) == loop_triangles(edges, n) == expected
+
+
+def test_triangle_count_matches_the_loop_on_random_directed_lists():
+    rng = Rng(77)
+    for n in (3, 5, 8, 13):
+        for i in range(5):
+            # random ordered pairs, self-loops and repeats included: up to 2n² rows
+            edges = (rng.uniforms((2 * n * n, 2)) * n).astype(np.int64)
+            edges = edges[: (i + 1) * len(edges) // 5]
+            assert count_triangles(edges, n) == loop_triangles(edges, n)
 
 
 def test_regression_graph_connected():
