@@ -344,12 +344,9 @@ def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
         if not isinstance(obj, dict):
             raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         check_value("n", obj["n"], "int", 0)
-        edges = as_array("edges", obj["edges"], "int")
-        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
-            raise ValueError(f"edges must be a list of [src, dst] pairs, got shape {edges.shape}")
         kwargs = {
             "num_nodes": obj["n"],
-            "edges": edges,
+            "edges": obj["edges"],
             "node_features": as_array("x", obj["x"], "float"),
         }
         if "e" in obj:

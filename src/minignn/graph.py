@@ -31,7 +31,10 @@ class Graph:
     edge_labels: np.ndarray | None = None  # (E,) int64
 
     def __post_init__(self):
-        self.edges = as_array("edges", self.edges, "int").reshape(-1, 2)
+        edges = as_array("edges", self.edges, "int")
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be a list of [src, dst] pairs, got shape {edges.shape}")
+        self.edges = edges.reshape(-1, 2)  # no edges at all is a (0, 2) array
         self.node_features = np.asarray(self.node_features, dtype=np.float64)
         if self.edge_features is not None:
             self.edge_features = np.asarray(self.edge_features, dtype=np.float64)
@@ -67,8 +70,6 @@ class Graph:
     def permute_nodes(self, perm: np.ndarray) -> "Graph":
         """Relabel node i as perm[i]; edge storage order is unchanged."""
         perm = np.asarray(perm, dtype=np.int64)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(self.num_nodes)
         x = np.empty_like(self.node_features)
         x[perm] = self.node_features
         labels = None

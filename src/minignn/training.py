@@ -283,7 +283,6 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
     order_rng = rng.spawn("batch-order")
 
     history: list[MetricsRecord] = []
-    best_val = math.inf
     best_state = model.state()
     train_graphs = splits["train"]
 
@@ -314,8 +313,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
                                      math.nan, seconds))
         history.append(MetricsRecord(epoch, "val", val_loss, metric_name,
                                      val_metric, seconds))
-        if val_loss < best_val:
-            best_val = val_loss
+        if val_loss < sched.best_val_loss:  # read before sched.step records val_loss
             best_state = model.state()
         lr, stop = sched.step(val_loss)
         opt.lr = lr

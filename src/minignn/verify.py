@@ -41,6 +41,17 @@ def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
     )
 
 
+def _worst(deviations) -> float:
+    """The largest deviation: 0.0 for none, NaN if any is NaN."""
+    return float(np.max([0.0, *deviations]))
+
+
+def _embed(model: Model, g: Graph) -> np.ndarray:
+    """Final node embeddings of g, eval mode."""
+    with T.no_grad():
+        return model.embeddings(g, training=False)[0].data
+
+
 def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
                       h: float = 1e-5) -> float:
     """Max relative finite-difference error over all parameters of one variant."""
@@ -55,23 +66,18 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
         h0, e0 = model.encode(view)
         fixed = model.propagate(h0, e0, view)
 
-    def f(_x, _model=model, _view=view):
-        pred = _model.forward(_view, training=False)
+    def objective(pred):
         return T.sum_all(T.mul(pred, pred))
 
-    def f_layers(_x, _model=model, _h=h0, _e=e0, _view=view):
-        pred = _model.head(_model.propagate(_h, _e, _view), _view)
-        return T.sum_all(T.mul(pred, pred))
+    def f(_x):
+        return objective(model.forward(view, training=False))
 
-    def f_head(_x, _head=model.head, _h=fixed, _view=view):
-        pred = _head(_h, _view)
-        return T.sum_all(T.mul(pred, pred))
-
-    stages = {"layers": f_layers, "head": f_head}  # encoder weights take the full f
-    worst = 0.0
-    for name, p in model.params().items():
-        worst = max(worst, T.finite_diff_check(stages.get(name.split(".")[0], f), p, h))
-    return worst
+    stages = {  # encoder weights take the full f
+        "layers": lambda _x: objective(model.head(model.propagate(h0, e0, view), view)),
+        "head": lambda _x: objective(model.head(fixed, view)),
+    }
+    return _worst(T.finite_diff_check(stages.get(name.split(".")[0], f), p, h)
+                  for name, p in model.params().items())
 
 
 def _neighbours(g: Graph) -> list[list[tuple[int, int]]]:
@@ -176,49 +182,31 @@ def naive_forward_oracle(g: Graph, model: Model) -> np.ndarray:
 
 def oracle_harness(model: Model, graphs: list[Graph]) -> float:
     """Max |vectorized - naive| over node embeddings, eval mode."""
-    worst = 0.0
-    for g in graphs:
-        with T.no_grad():
-            h, _ = model.embeddings(g, training=False)
-        ref = naive_forward_oracle(g, model)
-        worst = max(worst, float(np.max(np.abs(h.data - ref))))
-    return worst
+    return _worst(np.max(np.abs(_embed(model, g) - naive_forward_oracle(g, model)))
+                  for g in graphs)
 
 
 def equivariance_harness(model: Model, g: Graph, n_perms: int, rng: Rng) -> float:
     """Max |P.f(G) - f(P.G)| over random node permutations, eval mode."""
-    with T.no_grad():
-        h0, _ = model.embeddings(g, training=False)
-    worst = 0.0
-    for _ in range(n_perms):
-        perm = np.array(rng.sample(g.num_nodes, g.num_nodes), dtype=np.int64)
-        pg = g.permute_nodes(perm)
-        with T.no_grad():
-            h1, _ = model.embeddings(pg, training=False)
-        worst = max(worst, float(np.max(np.abs(h1.data[perm] - h0.data))))
-    return worst
+    h0 = _embed(model, g)
+    perms = (np.array(rng.sample(g.num_nodes, g.num_nodes), dtype=np.int64)
+             for _ in range(n_perms))
+    return _worst(np.max(np.abs(_embed(model, g.permute_nodes(perm))[perm] - h0))
+                  for perm in perms)
 
 
 def edge_order_harness(model: Model, g: Graph, n_shuffles: int, rng: Rng) -> float:
     """Max deviation of node embeddings under shuffled edge storage order."""
-    with T.no_grad():
-        h0, _ = model.embeddings(g, training=False)
-    worst = 0.0
-    for _ in range(n_shuffles):
-        order = np.array(rng.sample(g.num_edges, g.num_edges), dtype=np.int64)
-        shuffled = Graph(
-            num_nodes=g.num_nodes,
-            edges=g.edges[order],
-            node_features=g.node_features.copy(),
-            edge_features=None if g.edge_features is None else g.edge_features[order],
-            node_labels=g.node_labels,
-            graph_label=g.graph_label,
-            edge_labels=None if g.edge_labels is None else g.edge_labels[order],
-        )
-        with T.no_grad():
-            h1, _ = model.embeddings(shuffled, training=False)
-        worst = max(worst, float(np.max(np.abs(h1.data - h0.data))))
-    return worst
+    h0 = _embed(model, g)
+
+    def shuffled(order: np.ndarray) -> Graph:
+        return replace(g, edges=g.edges[order],
+                       edge_features=None if g.edge_features is None else g.edge_features[order],
+                       edge_labels=None if g.edge_labels is None else g.edge_labels[order])
+
+    orders = (np.array(rng.sample(g.num_edges, g.num_edges), dtype=np.int64)
+              for _ in range(n_shuffles))
+    return _worst(np.max(np.abs(_embed(model, shuffled(order)) - h0)) for order in orders)
 
 
 def make_zero_encoder_twin(base: Model) -> Model:
@@ -240,10 +228,4 @@ def make_zero_encoder_twin(base: Model) -> Model:
 def reduction_harness(base: Model, graphs: list[Graph]) -> float:
     """Max |base - zero-encoder twin| over node embeddings, eval mode."""
     twin = make_zero_encoder_twin(base)
-    worst = 0.0
-    for g in graphs:
-        with T.no_grad():
-            hb, _ = base.embeddings(g, training=False)
-            ht, _ = twin.embeddings(g, training=False)
-        worst = max(worst, float(np.max(np.abs(hb.data - ht.data))))
-    return worst
+    return _worst(np.max(np.abs(_embed(base, g) - _embed(twin, g))) for g in graphs)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import minignn
+from minignn import tensor as T
 from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError,
                          load_run_config, main)
 from minignn.verify import gradcheck_variant
@@ -771,6 +773,29 @@ def test_gradcheck_seed_beyond_int64_exits_1(capsys):
     err = capsys.readouterr().err
     assert f"--seed must be an integer, got {10 ** 29}" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_gradcheck_nan_weight_gradient_exits_2(monkeypatch, capsys):
+    # a backward rule that gives NaN for the weights of every matmul, while
+    # the bias errors stay small, must fail the check rather than be skipped
+    matmul = T.matmul
+
+    def nan_weight_grad(a, b):
+        out = matmul(a, b)
+        if out.node is not None:
+            rule = out.node.backward_fn
+
+            def backward_fn(g):
+                ga, gb = rule(g)
+                return ga, None if gb is None else np.full_like(gb, np.nan)
+
+            out.node.backward_fn = backward_fn
+        return out
+
+    monkeypatch.setattr(T, "matmul", nan_weight_grad)
+    assert main(["gradcheck", "--variant", "nlmi-gcn", "--width", "4",
+                 "--nodes", "5", "--seed", "3"]) == 2
+    assert "max_rel_error=nan" in capsys.readouterr().out
 
 
 def test_gradcheck_variant_errors_small():

@@ -65,6 +65,14 @@ def test_integral_floats_load_as_int64():
     assert Graph(num_nodes=1, edges=[], node_features=np.zeros((1, 1))).edges.shape == (0, 2)
 
 
+@pytest.mark.parametrize("edges", [[[0, 1, 2, 3]], np.zeros((2, 1, 2)), [0, 1]],
+                         ids=["one-row-of-four", "three-d", "flat-pair"])
+def test_edges_must_be_src_dst_pairs(edges):
+    # never reshaped into other edges, e.g. [[0, 1, 2, 3]] into [[0, 1], [2, 3]]
+    with pytest.raises(ValueError, match=r"edges must be a list of \[src, dst\] pairs, got shape"):
+        Graph(num_nodes=4, edges=edges, node_features=np.zeros((4, 1)))
+
+
 def test_feature_row_validation():
     with pytest.raises(ValueError):
         Graph(num_nodes=3, edges=np.zeros((0, 2)), node_features=np.zeros((2, 1)))

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ def test_edge_order_invariance_exact():
 def test_zero_encoder_reduction_exact(base):
     model = build(base, nlmi=False, seed=5)
     assert reduction_harness(model, graphs_for(base, 5)) == 0.0
+
+
+@pytest.mark.parametrize("harness", ["oracle", "equivariance", "edge_order", "reduction"])
+def test_one_nan_deviation_makes_the_harness_nan(monkeypatch, harness):
+    # the third embedding a harness computes is NaN, so one of its cases
+    # (graph, permutation or shuffle) deviates by NaN and the others do not
+    model = build("gatedgcn", nlmi=False, seed=9)
+    graphs = graphs_for("gatedgcn", 3, seed=500)
+    run = {
+        "oracle": lambda: oracle_harness(model, graphs),
+        "equivariance": lambda: equivariance_harness(model, graphs[0], 3, Rng(9)),
+        "edge_order": lambda: edge_order_harness(model, graphs[0], 3, Rng(9)),
+        "reduction": lambda: reduction_harness(model, graphs),
+    }[harness]
+    assert run() < 1e-9
+    embeddings, calls = Model.embeddings, itertools.count()
+
+    def nan_third(self, g, training=False):
+        h, view = embeddings(self, g, training)
+        if next(calls) == 2:
+            h = T.Tensor(np.full(h.shape, np.nan))
+        return h, view
+
+    monkeypatch.setattr(Model, "embeddings", nan_third)
+    assert math.isnan(run())
 
 
 def test_zero_encoder_twin_copies_everything_but_fc():
