@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -203,6 +204,7 @@ def cmd_ablate(args) -> int:
 
 # --- argument parsing ----------------------------------------------------------
 
+@functools.cache  # built on first use, not at import; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="minignn")
     sub = parser.add_subparsers(dest="command", required=True)

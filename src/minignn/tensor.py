@@ -414,11 +414,13 @@ def assert_finite(a: Tensor, context: str) -> None:
         raise NumericsError(f"non-finite values in {context}")
 
 
-def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f, x: Tensor, h: float = 1e-5, grad_f0=None) -> float:
     """Max relative error between analytic grad of f at x and central differences.
 
     f maps the Tensor x to a scalar Tensor. The relative error per
-    coordinate is |analytic - numeric| / max(1, |analytic|).
+    coordinate is |analytic - numeric| / max(1, |analytic|). A caller that
+    already ran backward through f at x passes ``grad_f0``, the pair
+    (x.grad, f(x)), and f is then evaluated only at the shifted points.
 
     A step that straddles a kink (the zero of a relu or absolute value)
     makes the two one-sided slopes disagree; such a coordinate is
@@ -426,15 +428,19 @@ def finite_diff_check(f, x: Tensor, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise ValueError(f"step must be positive, got {h}")
-    x.zero_grad()
-    out = f(x)
-    if out.data.shape != ():
-        raise ShapeError(f"finite_diff_check: f returned shape {out.data.shape}")
-    if not np.isfinite(out.data):
+    if grad_f0 is None:
+        x.zero_grad()
+        out = f(x)
+        if out.data.shape != ():
+            raise ShapeError(f"finite_diff_check: f returned shape {out.data.shape}")
+        if np.isfinite(out.data):  # a non-finite f fails below, with no backward
+            backward(out)
+        grad_f0 = x.grad, out.data
+    grad, f0 = grad_f0
+    if not np.isfinite(f0):
         raise NumericsError("finite_diff_check: f returned a non-finite value")
-    backward(out)
-    f0 = float(out.data)
-    analytic = x.grad if x.grad is not None else np.zeros(x.shape)
+    f0 = float(f0)
+    analytic = grad if grad is not None else np.zeros(x.shape)
 
     flat = x.data.reshape(-1)
     numeric = np.zeros(flat.shape)

@@ -76,7 +76,11 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
         "layers": lambda _x: objective(model.head(model.propagate(h0, e0, view), view)),
         "head": lambda _x: objective(model.head(fixed, view)),
     }
-    return _worst(T.finite_diff_check(stages.get(name.split(".")[0], f), p, h)
+    # one backward gives every weight's gradient; a stage's f returns the full f's bits
+    out = f(None)
+    T.backward(out)
+    return _worst(T.finite_diff_check(stages.get(name.split(".")[0], f), p, h,
+                                      grad_f0=(p.grad, out.data))
                   for name, p in model.params().items())
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import minignn
 from minignn import tensor as T
-from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError,
+from minignn.cli import (ABLATION_ROWS, GRADCHECK_TOLERANCE, ConfigError, build_parser,
                          load_run_config, main)
 from minignn.verify import gradcheck_variant
 
@@ -796,6 +796,17 @@ def test_gradcheck_nan_weight_gradient_exits_2(monkeypatch, capsys):
     assert main(["gradcheck", "--variant", "nlmi-gcn", "--width", "4",
                  "--nodes", "5", "--seed", "3"]) == 2
     assert "max_rel_error=nan" in capsys.readouterr().out
+
+
+def test_each_call_parses_its_own_arguments(capsys):
+    # the parser is built once per process; one call's flags must not carry
+    # over into the next call's defaults
+    assert build_parser() is build_parser()
+    assert main(["gradcheck", "--variant", "gcn", "--width", "3", "--nodes", "4",
+                 "--seed", "1"]) == 0
+    assert "variant=gcn d=3 n=4 " in capsys.readouterr().out
+    assert main(["gradcheck", "--variant", "nlmi-gcn"]) == 0
+    assert "variant=nlmi-gcn d=8 n=6 " in capsys.readouterr().out
 
 
 def test_gradcheck_variant_errors_small():
