@@ -23,6 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false"}
+DTYPES = {"int": np.int64, "float": np.float64}  # of an array of each kind
 
 
 class ConfigError(ValueError):
@@ -93,7 +94,7 @@ def as_array(name: str, values, kind: str) -> np.ndarray:
     if bad:
         raise ConfigError(f"{name} must hold {'integers' if kind == 'int' else 'finite numbers'}, "
                           f"got {bad[0]!r}")
-    return np.asarray(values).astype(np.int64 if kind == "int" else np.float64, copy=False)
+    return np.asarray(values).astype(DTYPES[kind], copy=False)
 
 
 def read_json(path, what: str, version: int) -> dict:

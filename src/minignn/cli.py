@@ -23,6 +23,7 @@ import numpy as np
 
 from .checks import ConfigError, check_keys, check_value, make_config, read_json
 from .generators import DatasetSpec, generate_dataset, load_dataset, save_dataset
+from .graph import TASK_LABELS
 from .layers import Model, ModelConfig
 # perfbench/tracing.py wraps finite_diff_check under this module's name too
 from .tensor import NumericsError, finite_diff_check  # noqa: F401
@@ -100,9 +101,11 @@ def _build(raw: dict):
     return spec, model_config, train_config, seeds, out
 
 
-def _check_data_fits(config: ModelConfig, splits: dict) -> None:
-    """The model's input widths must equal the widths of the data's features,
-    every class label must lie in [0, n_classes), and every edge label in [0, 2)."""
+def _check_data_fits(config: ModelConfig, task: str, splits: dict) -> None:
+    """The model's task and input widths must be the data's, every class label
+    must lie in [0, n_classes), and every edge label in [0, 2)."""
+    if config.task != task:
+        raise ConfigError(f"model task is {config.task!r}, but the data's task is {task!r}")
     for graphs in splits.values():
         for g in graphs:
             if g.node_features.shape[1] != config.d_in:
@@ -112,9 +115,9 @@ def _check_data_fits(config: ModelConfig, splits: dict) -> None:
                     and g.edge_features.shape[1] != config.d_edge):
                 raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
                                   f"features have width {g.edge_features.shape[1]}")
-        if graphs and config.task != "graph-reg":
-            edge = config.task == "edge-pred"
-            labels = labels_of(graphs, config.task)
+        if graphs and TASK_LABELS[task][1] == "int":
+            edge = task == "edge-pred"
+            labels = labels_of(graphs, task)
             bad = labels[(labels < 0) | (labels >= (2 if edge else config.n_classes))]
             if bad.size:
                 limit = "edge labels must be 0 or 1" if edge else \
@@ -139,7 +142,7 @@ def cmd_train(args) -> int:
     spec, model_config, train_config, seeds, out = _build(raw)
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
-    _check_data_fits(model_config, splits)
+    _check_data_fits(model_config, spec.task, splits)
     summary = run_seeds(splits, model_config, train_config, seeds)
     for seed in seeds:
         write_metrics_csv(out / f"metrics_seed{seed}.csv", summary["histories"][seed])
@@ -154,14 +157,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = Model.load(args.checkpoint)
     spec, splits = load_dataset(args.data)
-    if spec.task != model.config.task:
-        raise ConfigError(f"the checkpoint's model is for task {model.config.task!r}, "
-                          f"but {args.data} holds {spec.task!r} data")
     if args.split not in splits:
         raise ConfigError(f"split {args.split!r} not in dataset (has {sorted(splits)})")
     if not splits[args.split]:
         raise ConfigError(f"split {args.split!r} of {args.data} is empty")
-    _check_data_fits(model.config, splits)
+    _check_data_fits(model.config, spec.task, splits)
     loss, metric = evaluate(model, splits[args.split])
     print(f"split={args.split} loss={loss:.6f} metric={metric:.6f}")
     return 0
@@ -187,7 +187,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablation rows are defined for the gatedgcn base")
     out.mkdir(parents=True, exist_ok=True)
     splits = generate_dataset(spec)
-    _check_data_fits(model_config, splits)
+    _check_data_fits(model_config, spec.task, splits)
     rows = []
     for name, terms in ABLATION_ROWS:
         config = dataclasses.replace(model_config, nlmi=True, terms=terms)

@@ -20,13 +20,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .checks import ConfigError, as_array, check_fields, check_value, make_config, read_json
-from .graph import Graph
+from .checks import (DTYPES, ConfigError, as_array, check_fields, check_value, make_config,
+                     read_json)
+from .graph import TASK_LABELS, TASKS, Graph
 from .rng import Rng
 
 DATASET_FORMAT_VERSION = 1
-
-TASKS = ("node-class", "graph-class", "edge-pred", "graph-reg")
 
 
 class DatasetError(ValueError):
@@ -324,14 +323,8 @@ def _graph_to_obj(g: Graph, task: str) -> dict:
     }
     if g.edge_features is not None:
         obj["e"] = g.edge_features.tolist()
-    if task == "node-class":
-        obj["y"] = g.node_labels.tolist()
-    elif task == "graph-class":
-        obj["y"] = int(g.graph_label)
-    elif task == "edge-pred":
-        obj["y"] = g.edge_labels.tolist()
-    else:
-        obj["y"] = float(g.graph_label)
+    attr, kind = TASK_LABELS[task]
+    obj["y"] = np.asarray(getattr(g, attr), dtype=DTYPES[kind]).tolist()
     return obj
 
 
@@ -351,15 +344,13 @@ def _graph_from_obj(obj: dict, task: str, where: str) -> Graph:
         }
         if "e" in obj:
             kwargs["edge_features"] = as_array("e", obj["e"], "float")
-        y = obj["y"]
-        if task == "node-class":
-            kwargs["node_labels"] = y
-        elif task == "graph-class":
-            kwargs["graph_label"] = int(as_array("y", y, "int"))
-        elif task == "edge-pred":
-            kwargs["edge_labels"] = y
-        else:
-            kwargs["graph_label"] = float(as_array("y", y, "float"))
+        attr, kind = TASK_LABELS[task]
+        kwargs[attr] = obj["y"]  # Graph itself reads a label array
+        if attr == "graph_label":
+            y = as_array("y", obj["y"], kind)
+            if y.ndim:
+                raise ValueError(f"y must be one number, got shape {y.shape}")
+            kwargs[attr] = y.item()
         return Graph(**kwargs)
     except KeyError as err:
         raise DatasetError(f"malformed {where}: missing key {err}") from err

@@ -5,9 +5,9 @@ dst, so the neighbourhood of u is the set of sources of its incoming
 edges. Undirected graphs store both directions. Self-loops are never
 added implicitly.
 
-A Graph carries its labels; a batch (a GraphView) carries only structure,
-features and indices. ``training.labels_of`` reads a task's labels from
-the graphs themselves, in the order they were batched.
+A Graph carries its labels, in the field ``TASK_LABELS`` names per task; a
+batch (a GraphView) carries only structure, features and indices.
+``training.labels_of`` reads a task's labels in the order they were batched.
 """
 
 from __future__ import annotations
@@ -18,6 +18,14 @@ import numpy as np
 
 from .checks import as_array
 from .tensor import Rows, Tensor
+
+TASK_LABELS = {  # task: (the Graph field holding its labels, their kind)
+    "node-class": ("node_labels", "int"),
+    "graph-class": ("graph_label", "int"),
+    "edge-pred": ("edge_labels", "int"),
+    "graph-reg": ("graph_label", "float"),
+}
+TASKS = tuple(TASK_LABELS)
 
 
 @dataclass

@@ -31,8 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .checks import as_array, check_fields, make_config, read_json
-from .generators import TASKS
-from .graph import Graph, GraphView, batch
+from .graph import TASKS, Graph, GraphView, batch
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -235,6 +234,14 @@ class EdgeHead(MlpHead):
                                       T.gather_rows(h, edges[:, 1])))
 
 
+HEADS = {  # task: (head, embeddings per input row, output width or None for n_classes)
+    "node-class": (NodeClassHead, 1, None),
+    "graph-class": (GraphHead, 1, None),
+    "edge-pred": (EdgeHead, 2, 1),
+    "graph-reg": (GraphHead, 1, 1),
+}
+
+
 @dataclass
 class ModelConfig:
     task: str
@@ -289,15 +296,8 @@ class Model:
                 self.layers.append(
                     GatedGcnLayer(d, layer_rng, config.nlmi, config.terms)
                 )
-        head_rng = rng.spawn("head")
-        if config.task == "node-class":
-            self.head = NodeClassHead(d, d, config.n_classes, head_rng)
-        elif config.task == "graph-class":
-            self.head = GraphHead(d, d, config.n_classes, head_rng)
-        elif config.task == "edge-pred":
-            self.head = EdgeHead(2 * d, d, 1, head_rng)
-        else:  # graph-reg
-            self.head = GraphHead(d, d, 1, head_rng)
+        head, rows, d_out = HEADS[config.task]
+        self.head = head(rows * d, d, d_out or config.n_classes, rng.spawn("head"))
 
     # --- forward ---------------------------------------------------------
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_fields
-from .graph import Graph, batch as make_batch
+from .checks import DTYPES, check_fields
+from .graph import TASK_LABELS, Graph, batch as make_batch
 from .layers import Model, ModelConfig
 from .rng import Rng
 from . import tensor as T
@@ -167,32 +167,22 @@ class MetricsRecord:
     seconds: float
 
 
-_METRIC_NAMES = {
-    "node-class": "weighted_accuracy",
-    "graph-class": "accuracy",
-    "edge-pred": "f1_positive",
-    "graph-reg": "mae",
-}
-
-
 def labels_of(graphs: list[Graph], task: str) -> np.ndarray:
     """The task's labels for ``graphs``, concatenated in graph order."""
-    field = {"node-class": "node_labels", "edge-pred": "edge_labels"}.get(task, "graph_label")
-    parts = [getattr(g, field) for g in graphs]
+    attr, kind = TASK_LABELS[task]
+    parts = [getattr(g, attr) for g in graphs]
     if any(p is None for p in parts):
-        raise ValueError(f"a graph has no {task} labels ({field})")
-    if field != "graph_label":
-        return np.concatenate(parts)
-    return np.array(parts, dtype=np.int64 if task == "graph-class" else np.float64)
+        raise ValueError(f"a graph has no {task} labels ({attr})")
+    return np.concatenate([np.atleast_1d(p) for p in parts]).astype(DTYPES[kind], copy=False)
 
 
 def class_weights(graphs: list[Graph], task: str, n_classes: int) -> np.ndarray | None:
     """One loss weight per class, from the training split's labels.
 
     Classes are weighted by inverse frequency; edge-pred weights positives by
-    neg / pos and negatives by exactly 1. graph-reg has no classes: None.
+    neg / pos and negatives by exactly 1. A float target has no classes: None.
     """
-    if task == "graph-reg":
+    if TASK_LABELS[task][1] == "float":
         return None
     labels = labels_of(graphs, task)
     if task == "edge-pred":
@@ -203,29 +193,25 @@ def class_weights(graphs: list[Graph], task: str, n_classes: int) -> np.ndarray 
     return labels.size / (n_classes * counts.astype(np.float64))
 
 
-_LOSSES = {"node-class": cross_entropy, "graph-class": cross_entropy,
-           "edge-pred": binary_ce, "graph-reg": l1}
+TASK_LOSSES = {  # task: (per-example loss, metric name, metric of predictions and labels)
+    "node-class": (cross_entropy, "weighted_accuracy",
+                   lambda p, y: weighted_accuracy(p.argmax(axis=1), y)),
+    "graph-class": (cross_entropy, "accuracy", lambda p, y: accuracy(p.argmax(axis=1), y)),
+    "edge-pred": (binary_ce, "f1_positive", lambda p, y: f1_positive(p.ravel() > 0, y)),
+    "graph-reg": (l1, "mae", mae),
+}
 
 
 def compute_loss(pred: Tensor, labels: np.ndarray, task: str,
                  weights: np.ndarray | None = None) -> Tensor:
     """The task's loss, averaged over examples, each weighted by its class's
     entry of ``weights`` (a plain mean when None)."""
-    per = _LOSSES[task](pred, labels)
+    per = TASK_LOSSES[task][0](pred, labels)
     if weights is None:
         w = np.ones((per.shape[0], 1))
     else:
         w = weights[np.asarray(labels, dtype=np.int64)].reshape(-1, 1)
     return T.scale(T.sum_all(T.mul(per, Tensor(w))), 1.0 / w.sum())
-
-
-def compute_metric(pred: Tensor, labels: np.ndarray, task: str) -> float:
-    if task in ("node-class", "graph-class"):
-        hard = pred.data.argmax(axis=1)
-        return weighted_accuracy(hard, labels) if task == "node-class" else accuracy(hard, labels)
-    if task == "edge-pred":
-        return f1_positive((pred.data.reshape(-1) > 0).astype(np.int64), labels)
-    return mae(pred.data, labels)
 
 
 def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
@@ -242,7 +228,7 @@ def evaluate(model: Model, graphs: list[Graph], batch_size: int = 64,
         pred = Tensor(np.concatenate(preds, axis=0))
         labels = labels_of(graphs, task)
         loss = compute_loss(pred, labels, task, weights)
-    return float(loss.data), compute_metric(pred, labels, task)
+    return float(loss.data), TASK_LOSSES[task][2](pred.data, labels)
 
 
 # mallopt parameter numbers from glibc's malloc.h
@@ -275,7 +261,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
     """Train with plateau scheduling; returns (history, best-val model state)."""
     _retain_freed_memory()
     task = model.config.task
-    metric_name = _METRIC_NAMES[task]
+    metric_name = TASK_LOSSES[task][1]
     weights = (class_weights(splits["train"], task, model.config.n_classes)
                if config.weight_classes else None)
     opt = Adam(model.params(), lr=config.lr)
@@ -325,7 +311,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
 def run_seeds(splits: dict[str, list[Graph]], model_config: ModelConfig,
               train_config: TrainConfig, seeds: list[int]) -> dict:
     """Train once per seed; report per-seed test metrics with mean and std."""
-    metric_name = _METRIC_NAMES[model_config.task]
+    metric_name = TASK_LOSSES[model_config.task][1]
     values = []
     histories = {}
     states = {}

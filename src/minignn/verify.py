@@ -27,6 +27,7 @@ VARIANTS = {
     "gatedgcn": ("gatedgcn", False),
     "nlmi-gatedgcn": ("gatedgcn", True),
 }
+GRADCHECK_STEP = 1e-5  # the finite-difference step h
 
 
 def _random_graph(n: int, rng: Rng, with_edge_features: bool) -> Graph:
@@ -52,8 +53,7 @@ def _embed(model: Model, g: Graph) -> np.ndarray:
         return model.embeddings(g, training=False)[0].data
 
 
-def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
-                      h: float = 1e-5) -> float:
+def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int) -> float:
     """Max relative finite-difference error over all parameters of one variant."""
     base, nlmi = VARIANTS[variant]
     rng = Rng(seed)
@@ -79,7 +79,7 @@ def gradcheck_variant(variant: str, d: int, n_nodes: int, seed: int,
     # one backward gives every weight's gradient; a stage's f returns the full f's bits
     out = f(None)
     T.backward(out)
-    return _worst(T.finite_diff_check(stages.get(name.split(".")[0], f), p, h,
+    return _worst(T.finite_diff_check(stages.get(name.split(".")[0], f), p, GRADCHECK_STEP,
                                       grad_f0=(p.grad, out.data))
                   for name, p in model.params().items())
 

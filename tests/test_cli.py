@@ -486,6 +486,8 @@ def one_epoch_run(tmp_path_factory):
     (TRIANGLES, lambda g: {**g, "y": math.nan}, "y must hold finite numbers, got nan"),
     (TRIANGLES, lambda g: {**g, "y": "2.5"}, "y must hold finite numbers, got '2.5'"),
     (TRIANGLES, lambda g: {**g, "y": True}, "y must hold finite numbers, got True"),
+    (DENSITY, lambda g: {**g, "y": [1]}, "y must be one number, got shape (1,)"),
+    (TRIANGLES, lambda g: {**g, "y": [[2.5]]}, "y must be one number, got shape (1, 1)"),
     (PATTERN, lambda g: {**g, "n": g["n"] + 0.5}, "n must be an integer >= 0, got "),
     (PATTERN, lambda g: {**g, "edges": sum(g["edges"], [])},
      "edges must be a list of [src, dst] pairs, got shape"),
@@ -500,8 +502,8 @@ def one_epoch_run(tmp_path_factory):
      "x must hold finite numbers, got True"),
     (PATTERN, lambda g: {**g, "x": 0}, "node_features has shape () for 8 nodes"),
 ], ids=["class-y-fraction", "class-y-bool", "class-y-string", "reg-y-nan", "reg-y-string",
-        "reg-y-bool", "fractional-n", "flat-edges", "string-node-labels",
-        "bool-node-labels", "nan-feature", "ragged-features", "bool-feature",
+        "reg-y-bool", "class-y-list", "reg-y-nested-list", "fractional-n", "flat-edges",
+        "string-node-labels", "bool-node-labels", "nan-feature", "ragged-features", "bool-feature",
         "scalar-features"])
 def test_eval_on_a_malformed_dataset_file_exits_1(tmp_path, capsys, one_epoch_run, data,
                                                   mutate, message):
@@ -524,6 +526,27 @@ def test_eval_on_a_dataset_file_of_version_true_exits_1(tmp_path, capsys, one_ep
     assert main(["eval", "--checkpoint", checkpoint, "--data", str(path)]) == 1
     err = capsys.readouterr().err
     assert "has version True, expected 1" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,data,model_task,base", [
+    ("train", DENSITY, "graph-reg", "gcn"),
+    ("train", TRIANGLES, "graph-class", "gcn"),
+    ("ablate", PATTERN, "graph-class", "gatedgcn"),
+], ids=["train-class-data-reg-model", "train-reg-data-class-model", "ablate-node-data"])
+def test_training_on_data_of_another_task_exits_1(tmp_path, capsys, command, data,
+                                                  model_task, base):
+    # the model's head, loss and metric follow its task: a graph-reg model
+    # would fit an l1 regression to 0/1 classes, and a graph-class model
+    # would truncate each regression target to a class
+    cfg = one_epoch_config(*data)
+    cfg["model"].update(task=model_task, base=base)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"model task is {model_task!r}, but the data's task is {data[0]!r}" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not list(out.glob("*.csv"))
 
 
 def test_diverging_run_prints_one_line_and_exits_2(tmp_path):

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minignn.graph import Graph, batch
+from minignn.generators import GENERATORS
+from minignn.graph import TASK_LABELS, TASKS, Graph, batch
+from minignn.layers import HEADS
 from minignn.rng import Rng
-from minignn.training import labels_of
+from minignn.training import TASK_LOSSES, labels_of
 
 
 def make_graph(num_nodes, edges, d=2, seed=0, **kwargs):
@@ -131,3 +133,9 @@ def test_permute_nodes_roundtrip():
     npt.assert_array_equal(pg.node_features[perm], g.node_features)
     npt.assert_array_equal(pg.node_labels[perm], g.node_labels)
     npt.assert_array_equal(pg.edges, perm[g.edges])
+
+
+def test_every_task_table_covers_the_same_tasks():
+    # a task missing from one table would fail only deep inside a run
+    assert set(TASK_LABELS) == set(TASK_LOSSES) == set(HEADS) == set(TASKS)
+    assert {task for _, task in GENERATORS.values()} == set(TASKS)

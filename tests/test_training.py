@@ -401,14 +401,21 @@ PINNED_HISTORIES = {
                   ModelConfig(task="graph-reg", base="gatedgcn", nlmi=True, k_layers=1,
                               width=4, d_in=1),
                   "7a47c7ce273b6d801f04a80c743b7d7cb92625f033ce5f3b023003c466bc75b5"),
+    "pattern": (DatasetSpec(task="node-class", generator="pattern",
+                            params=dict(n_base=10, pattern_size=4), n_train=7, n_val=3,
+                            n_test=1, seed=3),
+                ModelConfig(task="node-class", base="gatedgcn", nlmi=True, k_layers=1,
+                            width=8, d_in=1),
+                "8700761c1a962831b27ab1830d3543d3af066fb7a8febdf047f012c6cf0c9b2f"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_HISTORIES))
 def test_weighted_training_history_is_pinned(name):
-    # class weights (density), positive-edge weights (tsp) and the l1 loss
-    # (triangles): the digest covers every recorded loss and metric of a
-    # 2-epoch run and the best state's parameters and statistics
+    # class weights (density, pattern), positive-edge weights (tsp) and the l1
+    # loss (triangles), so one run per task: the digest covers every recorded
+    # loss and metric of a 2-epoch run and the best state's parameters and
+    # statistics
     spec, config, digest = PINNED_HISTORIES[name]
     model = Model(config, Rng(5).spawn("init"))
     history, best = train_loop(generate_dataset(spec), model,
