@@ -96,9 +96,19 @@ def _build(raw: dict):
     if empty:
         raise ConfigError(f"dataset {', '.join(empty)} must be >= 1 to train")
     model_config = make_config(ModelConfig, raw["model"], "model")
+    _check_data_fits(model_config, spec.task, {})  # the task, before any graph is made
     train_config = make_config(TrainConfig, raw.get("train", {}), "train")
     out = Path(raw.get("out", "."))
     return spec, model_config, train_config, seeds, out
+
+
+def _generate(spec: DatasetSpec, config: ModelConfig, out: Path) -> dict:
+    """The run's splits, checked against the model. The out directory is made
+    only after every check has passed, so a rejected run leaves none behind."""
+    splits = generate_dataset(spec)
+    _check_data_fits(config, spec.task, splits)
+    out.mkdir(parents=True, exist_ok=True)
+    return splits
 
 
 def _check_data_fits(config: ModelConfig, task: str, splits: dict) -> None:
@@ -140,9 +150,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     raw = _apply_overrides(load_run_config(args.config), args)
     spec, model_config, train_config, seeds, out = _build(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    splits = generate_dataset(spec)
-    _check_data_fits(model_config, spec.task, splits)
+    splits = _generate(spec, model_config, out)
     summary = run_seeds(splits, model_config, train_config, seeds)
     for seed in seeds:
         write_metrics_csv(out / f"metrics_seed{seed}.csv", summary["histories"][seed])
@@ -185,9 +193,7 @@ def cmd_ablate(args) -> int:
     spec, model_config, train_config, seeds, out = _build(raw)
     if model_config.base != "gatedgcn":
         raise ConfigError("ablation rows are defined for the gatedgcn base")
-    out.mkdir(parents=True, exist_ok=True)
-    splits = generate_dataset(spec)
-    _check_data_fits(model_config, spec.task, splits)
+    splits = _generate(spec, model_config, out)
     rows = []
     for name, terms in ABLATION_ROWS:
         config = dataclasses.replace(model_config, nlmi=True, terms=terms)

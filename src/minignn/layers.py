@@ -163,13 +163,15 @@ class GatedGcnLayer:
 
     def forward(self, h: Tensor, e: Tensor, view: GraphView, training: bool):
         hA = T.matmul(h, self.A)
+        # h B and h F are read through the source index, so the message
+        # product's rule keeps h F, not its (E, d) gathered copy
         e_pre = T.add(
-            T.add(T.gather_rows(hA, view.dst), T.gather_rows(T.matmul(h, self.B), view.src)),
+            T.add(T.gather_rows(hA, view.dst), T.matmul(h, self.B), view.src),
             T.matmul(e, self.C),
         )
         sig = T.sigmoid(e_pre)
         denom = T.add(T.segment_sum(sig, view.dst, view.num_nodes), self.gate_eps)
-        msg = T.mul(sig, T.gather_rows(T.matmul(h, self.F), view.src))
+        msg = T.mul(sig, T.matmul(h, self.F), view.src)
         total = T.mul(T.segment_sum(msg, view.dst, view.num_nodes), T.powc(denom, -1.0))
 
         use_self, use_msg, _ = self.terms
@@ -285,7 +287,7 @@ class Model:
         d = config.width
         self.node_encoder = Linear(config.d_in, d, rng.spawn("node_encoder"))
         self.edge_encoder = None
-        if config.base == "gatedgcn":
+        if config.base == "gatedgcn" and config.k_layers > 0:  # only gated layers read it
             self.edge_encoder = Linear(config.d_edge, d, rng.spawn("edge_encoder"))
         self.layers = []
         for k in range(config.k_layers):

@@ -9,12 +9,15 @@ call adds a full pass of gradients (callers zero grads between steps). Under
 ``no_grad``, or when no input requires a gradient, an op returns its output
 as soon as it is computed and keeps nothing: no Node, no rule, no array.
 
-Broadcasting is restricted to two rules, both for the second operand of a
+Broadcasting is restricted to three rules, all for the second operand of a
 binary elementwise op on an (n, d) tensor. A (d,) operand is applied to
 every row, and its gradient is the sum of the output gradient over rows.
 An (n, 1) operand is applied to every column, and its gradient is the sum
-over columns, kept as a column. All other shape combinations must match
-exactly.
+over columns, kept as a column. An (m, d) operand that ``add`` or ``mul``
+is given with a row index (a ``Rows`` or an int array of length n) is read
+through it, b[rows], and its gradient is scattered back through the same
+index; the op then keeps no (n, d) gathered copy for its backward rule.
+All other shape combinations must match exactly.
 """
 
 from __future__ import annotations
@@ -148,6 +151,18 @@ def _reduce_broadcast(g: np.ndarray, axis: int | None) -> np.ndarray:
     return g if axis is None else g.sum(axis=axis, keepdims=axis == 1)
 
 
+def _check_read_rows(a: Tensor, b: Tensor, idx, opname: str) -> Rows:
+    """idx as a Rows into b's rows, such that b[idx] has a's shape."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sb) != 2:
+        raise ShapeError(f"{opname}: a row index reads a matrix, got shape {sb}")
+    rows = _rows(idx, sb[0], opname)
+    if sa != rows.idx.shape + sb[1:]:
+        raise ShapeError(f"{opname}: incompatible shapes {sa} and {sb} "
+                         f"read through {rows.idx.shape[0]} rows")
+    return rows
+
+
 # --- primitive ops --------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -165,7 +180,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, rows: Rows | np.ndarray | None = None) -> Tensor:
+    """a + b, or a + b[rows] with rows given."""
+    if rows is not None:
+        rows = _check_read_rows(a, b, rows, "add")
+        out = Tensor(a.data + b.data.take(rows.idx, axis=0))
+        if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
+        need_b = b.requires_grad
+
+        def backward_fn(g):
+            return g, rows.scatter(g) if need_b else None
+
+        return _record(out, (a, b), backward_fn)
     bc = _check_broadcast(a, b, "add")
     out = Tensor(a.data + b.data)
     if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
@@ -189,7 +215,20 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: Tensor, b: Tensor, rows: Rows | np.ndarray | None = None) -> Tensor:
+    """a * b, or a * b[rows] with rows given."""
+    if rows is not None:
+        rows = _check_read_rows(a, b, rows, "mul")
+        out = Tensor(a.data * b.data.take(rows.idx, axis=0))
+        if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out
+        x = a.data if b.requires_grad else None
+        y = b.data if a.requires_grad else None  # b's m rows, gathered again in backward
+
+        def backward_fn(g):
+            return (None if y is None else g * y.take(rows.idx, axis=0),
+                    None if x is None else rows.scatter(g * x))
+
+        return _record(out, (a, b), backward_fn)
     bc = _check_broadcast(a, b, "mul")
     out = Tensor(a.data * b.data)
     if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)): return out

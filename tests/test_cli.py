@@ -546,7 +546,7 @@ def test_training_on_data_of_another_task_exits_1(tmp_path, capsys, command, dat
     err = capsys.readouterr().err
     assert f"model task is {model_task!r}, but the data's task is {data[0]!r}" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_diverging_run_prints_one_line_and_exits_2(tmp_path):
@@ -730,6 +730,7 @@ def test_d_in_not_matching_the_data_exits_1(tmp_path, capsys):
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert "d_in" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_d_edge_not_matching_the_data_exits_1(tmp_path, capsys):

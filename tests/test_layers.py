@@ -182,10 +182,11 @@ def test_nlmi_creates_no_edge_row_tensor(base, monkeypatch):
     assert rows[True].count(view.num_edges) == rows[False].count(view.num_edges)
 
 
-@pytest.mark.parametrize("base,edge_rows", [("gcn", 1), ("gatedgcn", 8)])
+@pytest.mark.parametrize("base,edge_rows", [("gcn", 1), ("gatedgcn", 6)])
 def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
     # Edges stay in canonical order and degrees on the view, so a layer gathers
     # only node rows: no edge permutation and no per-edge degree or normaliser.
+    # A gated layer reads h B and h F through the source index, in add and mul.
     rng = Rng(33)
     g = _random_graph(9, rng.spawn("g"), True)
     view = batch([g])
@@ -223,40 +224,43 @@ def test_layer_forward_makes_few_edge_row_tensors(base, edge_rows, monkeypatch):
 def test_model_forward_computes_no_dead_tensor(base, nlmi, monkeypatch):
     # Every tensor the forward links into the autograd graph feeds the output;
     # in particular the last gated layer builds no edge update. Every parameter
-    # feeds it too, so a layer that does not encode holds no encoder.
+    # feeds it too, so a layer that does not encode holds no encoder, and a
+    # model with no layer holds no edge encoder.
     rng = Rng(35)
     g = _random_graph(9, rng.spawn("g"), True)
-    cfg = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=2, width=4,
-                      d_in=3, d_edge=2)
-    model = Model(cfg, rng.spawn("m"))
-    linked = []
     record = T._record
+    for k_layers in (2, 0):
+        cfg = ModelConfig(task="node-class", base=base, nlmi=nlmi, k_layers=k_layers,
+                          width=4, d_in=3, d_edge=2)
+        model = Model(cfg, rng.spawn("m"))
+        linked = []
 
-    def recording(out, inputs, backward_fn):
-        out = record(out, inputs, backward_fn)
-        if out.requires_grad:
-            linked.append(out)
-        return out
+        def recording(out, inputs, backward_fn, _linked=linked):
+            out = record(out, inputs, backward_fn)
+            if out.requires_grad:
+                _linked.append(out)
+            return out
 
-    monkeypatch.setattr(T, "_record", recording)
-    pred = model.forward(g, training=True)
-    monkeypatch.undo()
-    reached, stack = {pred.node}, [pred.node]
-    while stack:
-        for inp in stack.pop().inputs:
-            if inp is not None and inp not in reached:
-                reached.add(inp)
-                if isinstance(inp, T.Node):
-                    stack.append(inp)
-    assert pred in linked
-    assert [t.shape for t in linked if t.node not in reached] == []
-    assert [key for key, p in model.params().items() if p not in reached] == []
+        monkeypatch.setattr(T, "_record", recording)
+        pred = model.forward(g, training=True)
+        monkeypatch.undo()
+        reached, stack = {pred.node}, [pred.node]
+        while stack:
+            for inp in stack.pop().inputs:
+                if inp is not None and inp not in reached:
+                    reached.add(inp)
+                    if isinstance(inp, T.Node):
+                        stack.append(inp)
+        assert pred in linked
+        assert [t.shape for t in linked if t.node not in reached] == []
+        assert [key for key, p in model.params().items() if p not in reached] == []
 
 
-def test_training_forward_keeps_three_edge_row_arrays_per_gated_layer(monkeypatch):
+def test_training_forward_keeps_two_edge_row_arrays_per_gated_layer(monkeypatch):
     # The graph holds no op output, and a backward rule keeps only what it reads.
-    # Per gated layer that is sig (the sigmoid's and the message product's rules),
-    # gather(F h, src) (the message product's) and the layer's input e (e @ C's).
+    # Per gated layer that is sig (the sigmoid's and the message product's rules)
+    # and the layer's input e (e @ C's). The message product reads F h through
+    # the source index, so it keeps F h's node rows, not their gathered copy.
     rng = Rng(36)
     view = batch([_random_graph(9, rng.spawn("g"), True)])
     assert view.num_edges != view.num_nodes
@@ -278,7 +282,7 @@ def test_training_forward_keeps_three_edge_row_arrays_per_gated_layer(monkeypatc
     del pred
     gc.collect()
     assert len(edge_rows) > 6
-    assert sum(ref() is not None for ref in edge_rows) == 3 * cfg.k_layers
+    assert sum(ref() is not None for ref in edge_rows) == 2 * cfg.k_layers
 
 
 def test_no_grad_propagate_frees_an_edge_pre_activation_before_the_next_layer():

@@ -64,9 +64,16 @@ def test_row_broadcast_add_and_grad():
     npt.assert_array_equal(b.grad, [3.0, 3.0])
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul])
+def _alternate_rows(op):
+    """op(a, b[rows]), reading the two rows of b as 0, 1, 0, ..."""
+    return lambda a, b: op(a, b, np.arange(a.shape[0]) % 2)
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.matmul,
+                                pytest.param(_alternate_rows(T.add), id="add/rows"),
+                                pytest.param(_alternate_rows(T.mul), id="mul/rows")])
 def test_constant_operand_gets_no_gradient_computed(op):
-    square = op is T.matmul  # its second operand maps the 2 columns to 2
+    square = op not in (T.add, T.sub, T.mul)  # a (2, 2) second operand
     x = Tensor(np.ones((3, 2)), requires_grad=True)
     out = op(x, Tensor(np.eye(2) if square else np.array([1.0, 2.0])))
     grads = out.node.backward_fn(np.ones((3, 2)))
@@ -153,12 +160,15 @@ def test_no_grad_links_nothing():
 
 
 X = np.abs(Rng(47).normals((3, 4))) + 0.5  # positive where log and powc read it
-# One sample call per recording op; the Tensor arguments come from a factory t.
+# One sample call per recording op, and per form of an op ("add/rows": add with a
+# row index); the Tensor arguments come from a factory t.
 NO_GRAD_CASES = {
     "matmul": lambda t: (t(X), t(X.T)),
     "add": lambda t: (t(X), t(X[0])),
+    "add/rows": lambda t: (t(X), t(X[:2]), np.array([1, 0, 1])),
     "sub": lambda t: (t(X), t(X[:, :1])),
     "mul": lambda t: (t(X), t(X - 1.0)),
+    "mul/rows": lambda t: (t(X), t(X[:2] - 1.0), T.Rows(np.array([1, 0, 1]), 2)),
     "scale": lambda t: (t(X), -2.5),
     "relu": lambda t: (t(X - 1.0),),
     "sigmoid": lambda t: (t(X - 1.0),),
@@ -179,12 +189,12 @@ def test_no_grad_cases_cover_every_recording_op():
     recording = {name for name, fn in vars(T).items()
                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
                  and "_record" in fn.__code__.co_names}
-    assert sorted(recording) == sorted(NO_GRAD_CASES)
+    assert sorted(recording) == sorted({name.split("/")[0] for name in NO_GRAD_CASES})
 
 
 @pytest.mark.parametrize("name", sorted(NO_GRAD_CASES))
 def test_an_op_that_records_nothing_computes_the_same_output(name):
-    op, args = getattr(T, name), NO_GRAD_CASES[name]
+    op, args = getattr(T, name.split("/")[0]), NO_GRAD_CASES[name]
     tracked = op(*args(lambda a: Tensor(a, requires_grad=True)))
     assert tracked.node is not None
     with T.no_grad():
@@ -272,7 +282,9 @@ def test_binary_primitive_gradients():
     rng = Rng(43)
     a0 = rng.normals((3, 4))
     b0 = rng.normals((3, 4))
-    for op in (T.add, T.sub, T.mul):
+    rows = np.array([2, 0, 2])  # b's row 1 is unread, its row 2 read twice
+    for op in (T.add, T.sub, T.mul, lambda a, b: T.add(a, b, rows),
+               lambda a, b: T.mul(a, b, rows)):
         for side in (0, 1):
             x = Tensor((a0 if side == 0 else b0).copy(), requires_grad=True)
 
@@ -413,8 +425,45 @@ def test_rows_into_the_wrong_row_count_rejected():
         T.segment_sum(Tensor(np.ones((2, 4))), rows, 3)
     with pytest.raises(ShapeError, match="2 rows used for 3"):
         T.gather_rows(Tensor(np.ones((3, 4))), rows)
+    for op in (T.add, T.mul):
+        with pytest.raises(ShapeError, match="2 rows used for 3"):
+            op(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), rows)
 
 
 def test_segment_sum_index_out_of_range_rejected():
     with pytest.raises(IndexError):
         T.segment_sum(Tensor(np.ones((2, 4))), np.array([0, 2]), 2)
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+@pytest.mark.parametrize("case", sorted(SCATTER_CASES))
+def test_an_operand_read_through_rows_equals_a_gather_bit_for_bit(case, op):
+    # forward and both gradients; b's gradient is scattered through the same
+    # flattened index as gather_rows's, so it is the same sum in the same order
+    idx, n = SCATTER_CASES[case]
+    rng = Rng(65)
+    a0, b0 = _spread(rng, (len(idx), 16)), _spread(rng, (n, 16))
+    g = _spread(rng, (len(idx), 24))
+    runs = []
+    for through_rows in (False, True):
+        a = Tensor(a0.copy(), requires_grad=True)
+        b = Tensor(b0.copy(), requires_grad=True)
+        out = op(a, b, idx) if through_rows else op(a, T.gather_rows(b, idx))
+        # concat_cols passes a column slice of g back: a non-contiguous view
+        wide = T.concat_cols(out, Tensor(np.zeros((len(idx), 8))))
+        backward(T.sum_all(T.mul(wide, Tensor(g))))
+        runs.append((out.data, a.grad, b.grad))
+    for through_rows, gathered in zip(*runs):
+        assert np.array_equal(through_rows, gathered)
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_an_operand_read_through_rows_must_fit_the_first(op):
+    a, b = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+    for bad_a, bad_b, idx in ((a, b, np.array([0, 1])),  # b[idx] is (2, 4), a (3, 4)
+                              (a, Tensor(np.ones((2, 5))), np.array([0, 1, 1])),
+                              (a, Tensor(np.ones(2)), np.array([0, 1, 1]))):
+        with pytest.raises(ShapeError):
+            op(bad_a, bad_b, idx)
+    with pytest.raises(IndexError):
+        op(a, b, np.array([0, 2, 1]))
