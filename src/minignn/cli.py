@@ -121,8 +121,8 @@ def _check_data_fits(config: ModelConfig, task: str, splits: dict) -> None:
             if g.node_features.shape[1] != config.d_in:
                 raise ConfigError(f"model d_in is {config.d_in}, but the data's node "
                                   f"features have width {g.node_features.shape[1]}")
-            if (config.base == "gatedgcn" and g.edge_features is not None
-                    and g.edge_features.shape[1] != config.d_edge):
+            if (config.base == "gatedgcn" and config.k_layers > 0  # else no edge encoder
+                    and g.edge_features is not None and g.edge_features.shape[1] != config.d_edge):
                 raise ConfigError(f"model d_edge is {config.d_edge}, but the data's edge "
                                   f"features have width {g.edge_features.shape[1]}")
         if graphs and TASK_LABELS[task][1] == "int":

@@ -3,9 +3,8 @@
 An op on a tensor that requires a gradient gives its output a ``Node``: its
 backward rule and, per input, the input's Node, the input itself if a leaf,
 or None if it needs no gradient. Rules keep only the arrays they read, so an
-op output is freed when the forward drops it unless a rule reads it. What
-the rules read lives as long as the loss, so ``backward`` may run again; each
-call adds a full pass of gradients (callers zero grads between steps). Under
+op output is freed when the forward drops it unless a rule reads it, and
+``backward`` drops each rule once it has run, so a graph is single-use. Under
 ``no_grad``, or when no input requires a gradient, an op returns its output
 as soon as it is computed and keeps nothing: no Node, no rule, no array.
 
@@ -112,23 +111,28 @@ def _topological_order(root: Node | Tensor) -> list[Node | Tensor]:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every leaf tensor reachable from a scalar loss.
 
-    A leaf is a requires_grad tensor that no op made. Op outputs keep no
-    .grad, so each intermediate gradient is freed once passed back. Gradients
-    are added into any existing .grad buffers, so repeated calls accumulate.
-    A rule may return None for an input that needs no gradient.
+    A leaf is a requires_grad tensor that no op made; its gradient is added
+    into any existing .grad. Each intermediate gradient is freed once passed
+    back, and each rule once it has run, with the arrays it keeps; so a graph
+    serves one call, and a second raises before writing any .grad. A rule may
+    return None for an input that needs no gradient.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not loss.requires_grad:
         return
     root = loss.node or loss
+    order = _topological_order(root)
+    if any(isinstance(t, Node) and t.backward_fn is None for t in order):
+        raise RuntimeError("backward: the graph was already backpropagated; run the forward again")
     flows: dict[Node | Tensor, np.ndarray] = {root: np.ones(())}
-    for t in reversed(_topological_order(root)):
+    for t in reversed(order):
         g = flows.pop(t)  # complete: every consumer of t was visited before it
         if isinstance(t, Tensor):
             t.grad = g if t.grad is None else t.grad + g
             continue
-        for inp, gi in zip(t.inputs, t.backward_fn(g)):
+        rule, t.backward_fn = t.backward_fn, None  # frees the previous rule's arrays
+        for inp, gi in zip(t.inputs, rule(g)):
             if inp is not None:
                 flows[inp] = flows[inp] + gi if inp in flows else gi
 

@@ -290,7 +290,7 @@ def train_loop(splits: dict[str, list[Graph]], model: Model, config: TrainConfig
             T.backward(loss)
             opt.step()
             batch_losses.append(float(loss.data))
-            del pred, loss  # free this step's graph before the next forward
+            del pred, loss  # backward freed what the rules kept; this frees pred and the Nodes
 
         train_loss = float(np.mean(batch_losses))
         val_loss, val_metric = evaluate(model, splits["val"], config.batch_size, weights)

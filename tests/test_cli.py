@@ -733,24 +733,37 @@ def test_d_in_not_matching_the_data_exits_1(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+TSP_D_EDGE_2 = {
+    "version": 1,
+    "dataset": {"task": "edge-pred", "generator": "tsp",
+                "params": {"n_cities": 5, "k_nn": 4},
+                "n_train": 2, "n_val": 1, "n_test": 1, "seed": 7},
+    "model": {"task": "edge-pred", "base": "gatedgcn", "k_layers": 1, "width": 4,
+              "d_in": 2, "d_edge": 2},  # tsp edge features have width 1
+    "train": {"max_epochs": 1},
+    "seeds": [1],
+}
+
+
 def test_d_edge_not_matching_the_data_exits_1(tmp_path, capsys):
-    cfg = {
-        "version": 1,
-        "dataset": {"task": "edge-pred", "generator": "tsp",
-                    "params": {"n_cities": 5, "k_nn": 4},
-                    "n_train": 2, "n_val": 1, "n_test": 1, "seed": 7},
-        "model": {"task": "edge-pred", "base": "gatedgcn", "k_layers": 1, "width": 4,
-                  "d_in": 2, "d_edge": 2},  # tsp edge features have width 1
-        "train": {"max_epochs": 1},
-        "seeds": [1],
-    }
+    cfg = json.loads(json.dumps(TSP_D_EDGE_2))
     path = write_config(tmp_path, cfg)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert "d_edge" in err and "Traceback" not in err
+    assert "model d_edge is 2, but the data's edge features have width 1" in err
+    assert "Traceback" not in err
     cfg["model"]["d_edge"] = 1
     path = write_config(tmp_path, cfg)
     assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_d_edge_is_not_checked_without_a_layer_to_read_edges(tmp_path, capsys):
+    # a gatedgcn model with no layers holds no edge encoder, so d_edge reads nothing
+    cfg = json.loads(json.dumps(TSP_D_EDGE_2))
+    cfg["model"]["k_layers"] = 0
+    path = write_config(tmp_path, cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_generator_param_exits_1(tmp_path, capsys):

@@ -285,6 +285,49 @@ def test_training_forward_keeps_two_edge_row_arrays_per_gated_layer(monkeypatch)
     assert sum(ref() is not None for ref in edge_rows) == 2 * cfg.k_layers
 
 
+def test_backward_frees_a_gated_layers_edge_row_arrays_before_the_layer_below_runs(
+        monkeypatch):
+    # Backward drops each rule once it has run. Layer 0's h A feeds every rule
+    # of layer 1, so its rule runs after them all, and by then no array with E
+    # rows that a layer-1 rule kept (sig, the layer's input e) is alive.
+    rng = Rng(38)
+    view = batch([_random_graph(9, rng.spawn("g"), True)])
+    cfg = ModelConfig(task="node-class", base="gatedgcn", nlmi=True, k_layers=2, width=4,
+                      d_in=3, d_edge=2)
+    model = Model(cfg, rng.spawn("m"))
+    assert view.num_edges not in (view.num_nodes, cfg.width)
+    in_layer, kept, wrapped, freed = [], [], [], []
+    for k, layer in enumerate(model.layers):
+        def forward(*args, _forward=layer.forward, _k=k):
+            in_layer.append(_k)
+            out = _forward(*args)
+            in_layer.pop()
+            return out
+        layer.forward = forward
+    record = T._record
+
+    def watching(out, inputs, backward_fn):
+        if in_layer == [1]:
+            cells = [c.cell_contents for c in backward_fn.__closure__ or ()]
+            kept.extend(weakref.ref(a) for a in cells if isinstance(a, np.ndarray)
+                        and a.shape[:1] == (view.num_edges,))
+        elif in_layer == [0] and not wrapped:  # layer 0's first op: h A
+            wrapped.append(True)
+
+            def backward_fn(g, _rule=backward_fn):
+                freed.append([ref() is None for ref in kept])
+                return _rule(g)
+        return record(out, inputs, backward_fn)
+
+    monkeypatch.setattr(T, "_record", watching)
+    loss = T.sum_all(model.forward(view, training=True))
+    monkeypatch.undo()
+    alive = {id(ref()) for ref in kept if ref() is not None}
+    assert len(kept) > 2 and len(alive) == 2  # sig and e, as the test above counts
+    backward(loss)
+    assert freed == [[True] * len(kept)]
+
+
 def test_no_grad_propagate_frees_an_edge_pre_activation_before_the_next_layer():
     rng = Rng(37)
     view = batch([_random_graph(9, rng.spawn("g"), True)])

@@ -1,4 +1,3 @@
-import gc
 import inspect
 import weakref
 
@@ -134,12 +133,26 @@ def test_backward_requires_scalar():
         backward(T.mul(x, x))
 
 
-def test_backward_twice_accumulates():
+def test_a_second_backward_through_a_graph_raises_and_writes_no_grad():
     x = Tensor([1.0, 2.0], requires_grad=True)
     loss = T.sum_all(x)
     backward(loss)
-    backward(loss)
-    npt.assert_array_equal(x.grad, [2.0, 2.0])
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        backward(loss)
+    npt.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+def test_backward_through_a_shared_consumed_subgraph_raises_before_any_grad():
+    # loss2 reads an intermediate of loss1's spent graph; its own nodes are fresh
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([3.0, 4.0], requires_grad=True)
+    mid = T.mul(x, x)
+    backward(T.sum_all(mid))
+    loss2 = T.sum_all(T.mul(mid, w))
+    with pytest.raises(RuntimeError, match="already backpropagated"):
+        backward(loss2)
+    assert w.grad is None and loss2.node.backward_fn is not None  # no rule ran
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_through_a_chain_deeper_than_the_recursion_limit():
@@ -206,9 +219,9 @@ def test_an_op_that_records_nothing_computes_the_same_output(name):
         assert np.array_equal(out.data, tracked.data)
 
 
-def test_graph_lives_as_long_as_its_loss():
-    # What a backward rule reads lives as long as the loss; what none reads
-    # is freed when the forward drops it.
+def test_what_a_rule_reads_lives_until_backward_has_run_it():
+    # What a backward rule reads is freed by backward, while the loss lives on;
+    # what none reads is freed when the forward drops it.
     x = Tensor([1.0, 2.0], requires_grad=True)
     read = T.scale(x, 2.0)  # the mul's rule reads its factors
     unread = T.mul(read, read)  # the relu's rule reads only its mask
@@ -217,12 +230,8 @@ def test_graph_lives_as_long_as_its_loss():
     del read, unread
     assert kept() is not None and freed() is None
     backward(loss)
-    backward(loss)  # the rules still read what they kept
-    assert kept() is not None and loss.grad is None
-    del loss
-    gc.collect()
-    assert kept() is None
-    npt.assert_array_equal(x.grad, [16.0, 32.0])  # twice 8x
+    assert kept() is None and loss.grad is None
+    npt.assert_array_equal(x.grad, [8.0, 16.0])
 
 
 def test_gradient_accumulation_linearity():
